@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -126,13 +127,18 @@ def _print_report(report: CancellationReport) -> None:
     print(f"satisfied {report.satisfied}")
 
 
-def _seed_commitment(seed: int) -> str:
-    return hashlib.sha256(str(seed).encode()).hexdigest()
-
-
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _int_field(fields: dict[str, str], key: str, source: str) -> int:
+    if key not in fields:
+        raise ValueError(f"{source} has no {key} field")
+    try:
+        return int(fields[key])
+    except ValueError:
+        raise ValueError(f"{source} field {key} is not an integer: {fields[key]!r}") from None
 
 
 def _bundle_text(column: WordColumn, k: int) -> str:
@@ -143,15 +149,16 @@ def _bundle_text(column: WordColumn, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bundle(text: str, rank: int) -> WordColumn:
+def _parse_bundle(text: str, rank: int, k: int) -> WordColumn:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("share-bundle "):
         raise ValueError("malformed share bundle header")
-    fields = dict(item.split("=", 1) for item in lines[0].split()[1:])
-    participant = int(fields["participant"])
-    k = int(fields["k"])
-    if len(lines) - 1 != k:
-        raise ValueError(f"bundle advertises {k} words but carries {len(lines) - 1}")
+    fields = dict(item.partition("=")[::2] for item in lines[0].split()[1:])
+    participant = _int_field(fields, "participant", "bundle header")
+    advertised = _int_field(fields, "k", "bundle header")
+    if advertised != k or len(lines) - 1 != k:
+        raise ValueError(f"bundle advertises {advertised} words and carries "
+                         f"{len(lines) - 1}, but the manifest says k={k}")
     alphabet = Alphabet(rank)
     words = []
     for i, line in enumerate(lines[1:], start=1):
@@ -160,6 +167,14 @@ def _parse_bundle(text: str, rank: int) -> WordColumn:
             raise ValueError(f"unexpected bundle line {line!r}")
         words.append(parse_word(body, alphabet))
     return WordColumn(tuple(words), group_hint=participant)
+
+
+def _read_committed(session: Path, name: str, manifest: dict[str, str]) -> str:
+    """Read a session file and check it against its manifest digest."""
+    data = (session / name).read_bytes()
+    if hashlib.sha256(data).hexdigest() != manifest.get(f"sha256:{name}"):
+        raise ValueError(f"{name} does not match the digest in the manifest")
+    return data.decode()
 
 
 def _manifest_text(entries: dict[str, str]) -> str:
@@ -238,11 +253,7 @@ def cmd_deal(args: argparse.Namespace) -> None:
             rank=args.rank, relator_count=args.relators,
             relator_length=args.length, lam=lam,
         )
-        groups = [
-            random_platform_group(args.rank, args.relators, args.length, lam, rng)
-            for _ in range(args.n)
-        ]
-        columns = deal_tn(secret, cfg, groups, rng, word_params)
+        deal = partial(deal_tn, secret, cfg, rng=rng, word_params=word_params)
         t_value = args.t
     else:
         try:
@@ -251,26 +262,23 @@ def cmd_deal(args: argparse.Namespace) -> None:
             raise ValueError(f"nn secret must be hex, got {args.secret!r}") from exc
         k = 4 * len(args.secret)
         bits = int_to_column(secret_value, k)
-        groups = [
-            random_platform_group(args.rank, args.relators, args.length, lam, rng)
-            for _ in range(args.n)
-        ]
-        columns = deal_nn(bits, groups, word_params, rng)
+        deal = partial(deal_nn, bits, word_params=word_params, rng=rng)
         t_value = args.n
+    groups = [random_platform_group(args.rank, args.relators, args.length, lam, rng)
+              for _ in range(args.n)]
+    columns = deal(groups)
 
-    for j, (g, column) in enumerate(zip(groups, columns), start=1):
-        _write(session / "secure" / f"participant-{j}.grp", serialize_presentation(g))
-        _write(session / "open" / f"bundle-{j}.txt", _bundle_text(column, k))
-    manifest = {
-        "mode": args.mode,
-        "n": str(args.n),
-        "t": str(t_value),
-        "k": str(k),
-        "rank": str(args.rank),
-        "seed-commitment": _seed_commitment(args.seed),
-    }
+    manifest = {"mode": args.mode, "n": str(args.n), "t": str(t_value), "k": str(k),
+                "rank": str(args.rank)}
     if args.mode == "tn":
         manifest["p"] = str(args.p)
+    for j, (g, column) in enumerate(zip(groups, columns), start=1):
+        for name, text in (
+            (f"secure/participant-{j}.grp", serialize_presentation(g)),
+            (f"open/bundle-{j}.txt", _bundle_text(column, k)),
+        ):
+            _write(session / name, text)
+            manifest[f"sha256:{name}"] = hashlib.sha256(text.encode()).hexdigest()
     _write(session / "manifest", _manifest_text(manifest))
     print(f"dealt {args.mode} session for {args.n} participants into {session}")
 
@@ -278,11 +286,11 @@ def cmd_deal(args: argparse.Namespace) -> None:
 def cmd_recover(args: argparse.Namespace) -> None:
     session = Path(args.session_dir)
     manifest = _read_manifest(session)
-    mode = manifest["mode"]
-    n = int(manifest["n"])
-    t = int(manifest["t"])
-    k = int(manifest["k"])
-    rank = int(manifest["rank"])
+    mode = manifest.get("mode")
+    if mode not in ("nn", "tn"):
+        raise ValueError(f"manifest mode must be nn or tn, got {mode!r}")
+    n, t, k, rank = (_int_field(manifest, key, "manifest") for key in ("n", "t", "k", "rank"))
+    p = _int_field(manifest, "p", "manifest") if mode == "tn" else None
     listed = _parse_participants(args.participants, n)
 
     required = n if mode == "nn" else t
@@ -295,10 +303,10 @@ def cmd_recover(args: argparse.Namespace) -> None:
     decoded = {}
     for j in listed:
         presentation = parse_presentation(
-            (session / "secure" / f"participant-{j}.grp").read_text()
+            _read_committed(session, f"secure/participant-{j}.grp", manifest)
         )
         bundle = _parse_bundle(
-            (session / "open" / f"bundle-{j}.txt").read_text(), rank
+            _read_committed(session, f"open/bundle-{j}.txt", manifest), rank, k
         )
         if bundle.group_hint != j:
             raise ValueError(f"bundle {j} carries participant tag {bundle.group_hint}")
@@ -313,7 +321,6 @@ def cmd_recover(args: argparse.Namespace) -> None:
             result = recover_secret_nn(columns)
         secret = format(column_to_int(result), f"0{k // 4}x")
     else:
-        p = int(manifest["p"])
         points = [recover_share(bundle, pres, p) for pres, bundle in decoded.values()]
         if args.secure_sum:
             value, transcript = run_secure_linear_combination(points, p, Random(args.seed))

@@ -136,20 +136,17 @@ def encode_column(
     """Encode share bits as words over ``g``: bit 1 becomes a word equal to
     1 in the group, bit 0 a word not equal to 1.
 
-    Every entry first draws a trivial word from the session's construction
-    distribution; a 0 bit then swaps it for a nontrivial word of the same
-    length, so the published lengths carry no information about the bits.
+    Both bit values come from one construction with the same draws: a
+    product of conjugated relators, with one letter of one relator factor
+    changed for a 0 bit, so lengths and their parity match across bits.
     """
     col = _check_bits(share)
     words = []
     for bit in col:
         factors = rng.randrange(word_params.min_factors, word_params.max_factors + 1)
         conj = rng.randrange(word_params.min_conj, word_params.max_conj + 1)
-        trivial = make_trivial_word(g, factors, conj, rng)
-        if bit:
-            words.append(trivial)
-        else:
-            words.append(make_nontrivial_word(g, len(trivial), rng))
+        build = make_trivial_word if bit else make_nontrivial_word
+        words.append(build(g, factors, conj, rng))
     return WordColumn(tuple(words), group_hint=group_hint)
 
 

@@ -341,6 +341,54 @@ def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) ->
 # ---------------------------------------------------------------------------
 # constructing words equal / not equal to 1
 
+def _conjugated_product(
+    p: Presentation, factor_count: int, conj_length: int, rng: Random, max_attempts: int,
+    perturb: bool,
+) -> tuple[Word, tuple[tuple[int, int, Word], ...]]:
+    """The one word construction behind both bit values: a random nonempty
+    product ``prod h^-1 r^sign h`` of conjugated relators, with its factors.
+
+    With ``perturb``, one uniformly chosen factor's relator r = u a v has a
+    uniformly chosen letter a replaced by a letter b != a that cancels
+    neither cyclic neighbour.  Then r' = u b v = u (b a^-1) u^-1 r, so the
+    product is conjugate to the reduced two-letter word b a^-1, which is not
+    1 in a C'(1/6) group whose relators exceed 4 letters (Greendlinger).
+    """
+    if factor_count < 1:
+        raise ValueError("factor_count must be at least 1")
+    if conj_length < 0:
+        raise ValueError("conj_length must be nonnegative")
+    if not p.relators:
+        raise ValueError("presentation has no relators")
+    if perturb and p.alphabet.rank < 2:
+        raise ValueError("no substitute letter exists over a rank-1 alphabet")
+    codes = [chr(code) for code in range(2, 2 * p.alphabet.rank + 2)]
+    for _ in range(max_attempts):
+        altered = rng.randrange(factor_count) if perturb else -1
+        acc = ""
+        certificate = []
+        for i in range(factor_count):
+            idx = rng.randrange(len(p.relators))
+            sign = 1 if rng.randrange(2) == 0 else -1
+            h = random_reduced_word(conj_length, p.alphabet, rng)
+            r = p.relators[idx].chars
+            if sign < 0:
+                r = _invert_chars(r)
+            if i == altered:
+                pos = rng.randrange(len(r))
+                banned = (r[pos], chr(ord(r[pos - 1]) ^ 1), chr(ord(r[(pos + 1) % len(r)]) ^ 1))
+                subs = [c for c in codes if c not in banned]
+                r = r[:pos] + subs[rng.randrange(len(subs))] + r[pos + 1 :]
+            factor = _merge_chars(_merge_chars(_invert_chars(h.chars), r), h.chars)
+            acc = _merge_chars(acc, factor)
+            certificate.append((idx, sign, h))
+        if acc:
+            return _from_chars(p.alphabet, acc), tuple(certificate)
+    raise BudgetExhausted(
+        f"conjugate products collapsed to the identity {max_attempts} times in a row"
+    )
+
+
 def make_trivial_word_certified(
     p: Presentation,
     factor_count: int,
@@ -351,30 +399,7 @@ def make_trivial_word_certified(
     """Like :func:`make_trivial_word` but also return the certificate:
     a tuple of (relator index, sign, conjugator) factors whose product
     ``prod h^-1 r^sign h`` reduces to the returned word."""
-    if factor_count < 1:
-        raise ValueError("factor_count must be at least 1")
-    if conj_length < 0:
-        raise ValueError("conj_length must be nonnegative")
-    if not p.relators:
-        raise ValueError("presentation has no relators")
-    for _ in range(max_attempts):
-        acc = ""
-        certificate = []
-        for _ in range(factor_count):
-            idx = rng.randrange(len(p.relators))
-            sign = 1 if rng.randrange(2) == 0 else -1
-            h = random_reduced_word(conj_length, p.alphabet, rng)
-            r_chars = p.relators[idx].chars
-            if sign < 0:
-                r_chars = _invert_chars(r_chars)
-            factor = _merge_chars(_merge_chars(_invert_chars(h.chars), r_chars), h.chars)
-            acc = _merge_chars(acc, factor)
-            certificate.append((idx, sign, h))
-        if acc:
-            return _from_chars(p.alphabet, acc), tuple(certificate)
-    raise BudgetExhausted(
-        f"conjugate products collapsed to the identity {max_attempts} times in a row"
-    )
+    return _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)
 
 
 def make_trivial_word(
@@ -385,49 +410,19 @@ def make_trivial_word(
     max_attempts: int = 1000,
 ) -> Word:
     """Random nonempty product of conjugated relators; trivial by construction."""
-    word, _ = make_trivial_word_certified(p, factor_count, conj_length, rng, max_attempts)
-    return word
+    return _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)[0]
 
 
-def make_nontrivial_word(p: Presentation, target_length: int, rng: Random) -> Word:
-    """Random reduced word of exactly ``target_length`` letters containing no
-    subword longer than half of any symmetrized relator.
-
-    On a C'(1/6) presentation such a word cannot lie in the normal closure
-    (any nonempty trivial word must contain an over-half relator piece), so
-    Dehn reduction reports it nontrivial.  Built letter by letter, choosing
-    uniformly among extensions that neither cancel nor complete a forbidden
-    over-half prefix; raises if every extension is forbidden, which signals
-    a degenerate presentation.
-    """
-    if target_length < 1:
-        raise ValueError("target_length must be at least 1")
-    index = _dehn_index(p)
-    m = p.alphabet.rank
-    all_codes = [chr(code) for code in range(2, 2 * m + 2)]
-    out = ""
-    for _ in range(target_length):
-        forbidden = ord(out[-1]) ^ 1 if out else -1
-        grown = len(out) + 1
-        checks = [
-            (index.tables[t], out[grown - t :]) for t in index.thresholds if grown >= t
-        ]
-        admissible = []
-        for c in all_codes:
-            if ord(c) == forbidden:
-                continue
-            for table, tail in checks:
-                if tail + c in table:
-                    break
-            else:
-                admissible.append(c)
-        if not admissible:
-            raise ValueError(
-                "nontrivial word construction is stuck: every extension completes "
-                "an over-half relator prefix (degenerate presentation)"
-            )
-        out += admissible[rng.randrange(len(admissible))]
-    return _from_chars(p.alphabet, out)
+def make_nontrivial_word(
+    p: Presentation,
+    factor_count: int,
+    conj_length: int,
+    rng: Random,
+    max_attempts: int = 1000,
+) -> Word:
+    """The :func:`make_trivial_word` product with one letter of one relator
+    factor changed: never 1 on a C'(1/6) presentation; ValueError at rank 1."""
+    return _conjugated_product(p, factor_count, conj_length, rng, max_attempts, True)[0]
 
 
 # ---------------------------------------------------------------------------

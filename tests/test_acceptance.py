@@ -6,6 +6,7 @@ prints its verdict before asserting, so the report survives failures.
 """
 
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -204,7 +205,7 @@ def test_04_constructed_word_soundness():
                 failures.append(("trivial", serialize_word(w)))
             if len(trace.steps) > len(w):
                 step_violations.append(("trivial", len(trace.steps), len(w)))
-            nt = make_nontrivial_word(g, len(w), rng)
+            nt = make_nontrivial_word(g, factors, conj, rng)
             trace = dehn_is_trivial(g, nt)
             if trace.is_trivial:
                 failures.append(("nontrivial", serialize_word(nt)))
@@ -396,3 +397,28 @@ def test_09_no_word_repeats_across_deals():
     ok = not duplicates
     _report(9, "no repeated words across 100 deals", ok, f"{total} words scanned")
     assert not duplicates, duplicates[:5]
+
+
+def test_10_ngram_guess_reads_no_share_bits():
+    """One all-participants session (n=8, k=256, default word parameters):
+    guessing bit 1 for every word that shares a 12-letter substring with
+    another word of its column has advantage 2|accuracy - 1/2| <= 0.1
+    against the Dehn verdicts."""
+    rng = Random(f"{SEED}-c10")
+    groups = [_platform(rng) for _ in range(8)]
+    secret = tuple(rng.getrandbits(1) for _ in range(256))
+    columns = deal_nn(secret, groups, WordParams(), rng)
+    right = total = 0
+    for column, g in zip(columns, groups):
+        letters = [w.letters for w in column.words]
+        grams = [{ls[i : i + 12] for i in range(len(ls) - 11)} for ls in letters]
+        counts = Counter(gram for word_grams in grams for gram in word_grams)
+        for w, word_grams in zip(column.words, grams):
+            guess = any(counts[gram] > 1 for gram in word_grams)
+            right += guess == dehn_is_trivial(g, w).is_trivial
+            total += 1
+    advantage = abs(2 * right / total - 1)
+    ok = advantage <= 0.1
+    _report(10, "12-gram guess reads no share bits", ok,
+            f"advantage {advantage:.3f} over {total} bits")
+    assert advantage <= 0.1, f"12-gram guess has advantage {advantage:.3f}"

@@ -1,3 +1,5 @@
+import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,43 @@ def test_nn_secure_sum_recovery_writes_transcript(tmp_path, capsys):
     assert log.read_text().startswith("round 1 1->2 ")
 
 
+def test_manifest_does_not_reveal_the_seed(tmp_path, capsys):
+    session = tmp_path / "s"
+    run(capsys, "deal", "--mode", "nn", "--secret", "ab", "--n", "2",
+        "--seed", "1", "--session-dir", str(session))
+    manifest = (session / "manifest").read_text()
+    assert hashlib.sha256(b"1").hexdigest() not in manifest
+    assert "seed" not in manifest
+
+
+def _replace_presentation(session: Path) -> None:
+    (session / "secure" / "participant-2.grp").write_text("generators 3\n")
+
+
+def _copy_presentation(session: Path) -> None:
+    secure = session / "secure"
+    shutil.copy(secure / "participant-3.grp", secure / "participant-2.grp")
+
+
+def _flip_bundle_letter(session: Path) -> None:
+    bundle = session / "open" / "bundle-2.txt"
+    text = bundle.read_text()
+    assert " x1 " in text
+    bundle.write_text(text.replace(" x1 ", " x2 ", 1))
+
+
+@pytest.mark.parametrize("tamper", [_replace_presentation, _copy_presentation, _flip_bundle_letter])
+def test_recover_rejects_files_that_miss_their_digest(tmp_path, capsys, tamper):
+    session = tmp_path / "s"
+    run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",
+        "--seed", "6", "--session-dir", str(session))
+    tamper(session)
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert "does not match the digest" in err
+
+
 def test_nn_secret_must_be_hex(tmp_path, capsys):
     code, _, err = run(capsys, "deal", "--mode", "nn", "--secret", "zz", "--n", "2",
                        "--seed", "1", "--session-dir", str(tmp_path / "s"))
@@ -160,6 +199,58 @@ def test_tn_usage_validation(tmp_path, capsys):
                        "--n", "2", "--t", "2", "--p", "11",
                        "--session-dir", str(tmp_path / "y"))
     assert code == 2 and "out of range" in err
+
+
+def _drop_line(key):
+    return lambda text: "".join(
+        line for line in text.splitlines(True) if not line.startswith(f"{key} ")
+    )
+
+
+def _set_value(key, value):
+    return lambda text: "".join(
+        f"{key} {value}\n" if line.startswith(f"{key} ") else line
+        for line in text.splitlines(True)
+    )
+
+
+def _edit_header(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("open/bundle-1.txt", _edit_header(" participant=1", ""), "no participant field"),
+        ("open/bundle-1.txt", _edit_header(" k=13", ""), "no k field"),
+        ("open/bundle-1.txt", _edit_header("k=13", "k=thirteen"), "field k is not an integer"),
+        ("manifest", _drop_line("mode"), "mode must be nn or tn"),
+        ("manifest", _drop_line("n"), "manifest has no n field"),
+        ("manifest", _drop_line("t"), "manifest has no t field"),
+        ("manifest", _drop_line("k"), "manifest has no k field"),
+        ("manifest", _set_value("k", "14"), "the manifest says k=14"),
+        ("manifest", _drop_line("rank"), "manifest has no rank field"),
+        ("manifest", _drop_line("p"), "manifest has no p field"),
+        ("manifest", _set_value("n", "five"), "field n is not an integer"),
+        ("manifest", _set_value("rank", "3.0"), "field rank is not an integer"),
+        ("manifest", _set_value("p", ""), "field p is not an integer"),
+    ],
+)
+def test_recover_reports_malformed_fields_in_one_line(tn_session, tmp_path, capsys,
+                                                      name, edit, message):
+    session = tmp_path / "s"
+    shutil.copytree(tn_session, session)
+    path = session / name
+    path.write_text(edit(path.read_text()))
+    if name != "manifest":  # recommit, so that parsing is what rejects the file
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest = session / "manifest"
+        manifest.write_text(_set_value(f"sha256:{name}", digest)(manifest.read_text()))
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
 
 
 def test_tn_bad_participant_list(tn_session, capsys):

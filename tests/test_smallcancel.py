@@ -325,7 +325,7 @@ def test_dehn_invariant_under_conjugation(platform_group):
     rng = Random(37)
     for _ in range(10):
         w = make_trivial_word(platform_group, 1, 3, rng)
-        nt = make_nontrivial_word(platform_group, 30, rng)
+        nt = make_nontrivial_word(platform_group, 1, 3, rng)
         h = random_reduced_word(6, platform_group.alphabet, rng)
         assert dehn_is_trivial(platform_group, conjugate(w, h)).is_trivial
         assert not dehn_is_trivial(platform_group, conjugate(nt, h)).is_trivial
@@ -372,28 +372,43 @@ def test_trivial_word_validation(platform_group):
         make_trivial_word(Presentation(A2, ()), 1, 1, Random(0))
 
 
-def test_nontrivial_word_exact_length_and_verdict(platform_group):
+def test_nontrivial_word_verdict_and_parity(platform_group):
     rng = Random(53)
-    for target in (1, 5, 40, 200):
-        w = make_nontrivial_word(platform_group, target, rng)
-        assert len(w) == target
-        assert not dehn_is_trivial(platform_group, w).is_trivial
+    for factors in (1, 2, 3):
+        for conj in range(8):
+            for _ in range(5):
+                w = make_nontrivial_word(platform_group, factors, conj, rng)
+                assert not dehn_is_trivial(platform_group, w).is_trivial
+                # free reduction removes letters in pairs and every factor
+                # has 2 * conj + 40 letters, so the length stays even
+                assert len(w) % 2 == 0
+
+
+def test_nontrivial_word_bare_factor_is_one_letter_off_a_relator(platform_group):
+    rng = Random(59)
+    symmetric = {r for r in platform_group.relators} | {
+        invert(r) for r in platform_group.relators
+    }
+    for _ in range(20):
+        w = make_nontrivial_word(platform_group, 1, 0, rng)
+        assert w.is_cyclically_reduced()
+        off_by = [sum(a != b for a, b in zip(w.letters, r.letters))
+                  for r in symmetric if len(r) == len(w)]
+        assert min(off_by) == 1
 
 
 def test_nontrivial_word_in_power_group():
+    # over a rank-1 alphabet every letter other than x1 is x1^-1, which
+    # cancels a neighbour, so no substitute letter exists
     p = Presentation(A1, (power(A1, 1, 7),))
-    for seed in range(10):
-        w = make_nontrivial_word(p, 3, Random(seed))
-        assert w.letters in {(1, 1, 1), (-1, -1, -1)}
-        assert not dehn_is_trivial(p, w).is_trivial
-
-
-def test_nontrivial_word_gets_stuck_on_degenerate_rank_one():
-    p = Presentation(A1, (power(A1, 1, 7),))
-    with pytest.raises(ValueError, match="stuck"):
-        make_nontrivial_word(p, 10, Random(0))
+    with pytest.raises(ValueError, match="rank-1"):
+        make_nontrivial_word(p, 1, 0, Random(0))
 
 
 def test_nontrivial_word_rejects_bad_length(platform_group):
     with pytest.raises(ValueError):
-        make_nontrivial_word(platform_group, 0, Random(0))
+        make_nontrivial_word(platform_group, 0, 3, Random(0))
+    with pytest.raises(ValueError):
+        make_nontrivial_word(platform_group, 1, -1, Random(0))
+    with pytest.raises(ValueError):
+        make_nontrivial_word(Presentation(A2, ()), 1, 1, Random(0))
