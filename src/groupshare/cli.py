@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import hmac
 import sys
 from fractions import Fraction
 from functools import partial
@@ -43,6 +44,7 @@ from .scheme import (
 from .securesum import export_transcript, run_secure_linear_combination, run_secure_sum
 from .shamir import PrimeModulus, interpolate_at_zero
 from .smallcancel import (
+    ONE_SIXTH,
     CancellationReport,
     check_small_cancellation,
     dehn_is_trivial,
@@ -169,12 +171,19 @@ def _parse_bundle(text: str, rank: int, k: int) -> WordColumn:
     return WordColumn(tuple(words), group_hint=participant)
 
 
-def _read_committed(session: Path, name: str, manifest: dict[str, str]) -> str:
+def _read_committed(session: Path, name: str, manifest: dict[str, str]) -> bytes:
     """Read a session file and check it against its manifest digest."""
     data = (session / name).read_bytes()
     if hashlib.sha256(data).hexdigest() != manifest.get(f"sha256:{name}"):
         raise ValueError(f"{name} does not match the digest in the manifest")
-    return data.decode()
+    return data
+
+
+def _bundle_mac(presentation: bytes, bundle: bytes) -> str:
+    """HMAC-SHA256 of a bundle keyed by its participant's presentation text:
+    the manifest's plain digests stop accidents, this stops a writer of the
+    open channel, who cannot recompute it without the secure payload."""
+    return hmac.new(presentation, bundle, hashlib.sha256).hexdigest()
 
 
 def _manifest_text(entries: dict[str, str]) -> str:
@@ -235,6 +244,9 @@ def cmd_deal(args: argparse.Namespace) -> None:
         raise UsageError("nn mode fixes t = n")
 
     lam = Fraction(args.lam)
+    if lam > ONE_SIXTH:
+        raise UsageError("--lambda must be at most 1/6: Dehn's algorithm decides "
+                         "the word problem only on C'(1/6) groups")
     rng = Random(args.seed)
     session = Path(args.session_dir)
     word_params = WordParams()
@@ -273,12 +285,16 @@ def cmd_deal(args: argparse.Namespace) -> None:
     if args.mode == "tn":
         manifest["p"] = str(args.p)
     for j, (g, column) in enumerate(zip(groups, columns), start=1):
+        secure_text, open_text = serialize_presentation(g), _bundle_text(column, k)
         for name, text in (
-            (f"secure/participant-{j}.grp", serialize_presentation(g)),
-            (f"open/bundle-{j}.txt", _bundle_text(column, k)),
+            (f"secure/participant-{j}.grp", secure_text),
+            (f"open/bundle-{j}.txt", open_text),
         ):
             _write(session / name, text)
             manifest[f"sha256:{name}"] = hashlib.sha256(text.encode()).hexdigest()
+        manifest[f"hmac-sha256:open/bundle-{j}.txt"] = _bundle_mac(
+            secure_text.encode(), open_text.encode()
+        )
     _write(session / "manifest", _manifest_text(manifest))
     print(f"dealt {args.mode} session for {args.n} participants into {session}")
 
@@ -302,12 +318,19 @@ def cmd_recover(args: argparse.Namespace) -> None:
 
     decoded = {}
     for j in listed:
-        presentation = parse_presentation(
-            _read_committed(session, f"secure/participant-{j}.grp", manifest)
-        )
-        bundle = _parse_bundle(
-            _read_committed(session, f"open/bundle-{j}.txt", manifest), rank, k
-        )
+        secure_name, open_name = f"secure/participant-{j}.grp", f"open/bundle-{j}.txt"
+        secure_data = _read_committed(session, secure_name, manifest)
+        presentation = parse_presentation(secure_data.decode())
+        if not presentation.relators:
+            raise ValueError(f"{secure_name} has no relators")
+        if not check_small_cancellation(presentation, ONE_SIXTH).satisfied:
+            raise ValueError(f"{secure_name} does not satisfy C'(1/6), on which alone "
+                             "Dehn's algorithm decides the word problem")
+        open_data = _read_committed(session, open_name, manifest)
+        mac = manifest.get(f"hmac-sha256:{open_name}", "")
+        if not hmac.compare_digest(_bundle_mac(secure_data, open_data).encode(), mac.encode()):
+            raise ValueError(f"{open_name} does not match its MAC in the manifest")
+        bundle = _parse_bundle(open_data.decode(), rank, k)
         if bundle.group_hint != j:
             raise ValueError(f"bundle {j} carries participant tag {bundle.group_hint}")
         decoded[j] = (presentation, bundle)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import eq
 from random import Random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Alphabet",
@@ -56,8 +57,30 @@ def _letter(ch: str) -> int:
     return code // 2 if code % 2 == 0 else -(code - 1) // 2
 
 
+# The codec runs as ``str.translate`` and dict lookups over tables of the
+# packed codes of every rank up to _TABLE_RANK; the translate tables work
+# out any larger code when it is looked up.
+_TABLE_RANK = 256
+
+
+class _Table(dict):
+    """``str.translate`` table: code -> ``entry(code)`` for any code."""
+
+    def __init__(self, entry: Callable[[int], int | str]):
+        super().__init__((code, entry(code)) for code in range(2, 2 * _TABLE_RANK + 2))
+        self.entry = entry
+
+    def __missing__(self, code: int):
+        return self.entry(code)
+
+
+_FLIP = _Table(lambda code: code ^ 1)  # inverse letter
+_SERIALIZE = _Table(lambda code: f"x{code // 2}^-1 " if code % 2 else f"x{code // 2} ")
+_PARSE = {token[:-1]: chr(code) for code, token in _SERIALIZE.items()}
+
+
 def _invert_chars(chars: str) -> str:
-    return "".join(chr(ord(c) ^ 1) for c in reversed(chars))
+    return chars[::-1].translate(_FLIP)
 
 
 def _merge_chars(a: str, b: str) -> str:
@@ -214,10 +237,11 @@ def random_reduced_word(length: int, alphabet: Alphabet, rng: Random) -> Word:
 _TOKEN = re.compile(r"x([0-9]+)(\^-1)?\Z")
 
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse ``"x1 x2^-1"`` style text; reduces the result."""
+def _parse_tokens(tokens: list[str], alphabet: Alphabet) -> Word:
+    """The general parser: ranks beyond the table, spellings such as
+    ``x01``, and the wording of every error."""
     letters = []
-    for token in text.split():
+    for token in tokens:
         match = _TOKEN.match(token)
         if match is None:
             raise ValueError(f"malformed word token {token!r}")
@@ -228,5 +252,21 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(alphabet, letters)
 
 
+def parse_word(text: str, alphabet: Alphabet) -> Word:
+    """Parse ``"x1 x2^-1"`` style text; reduces the result."""
+    tokens = text.split()
+    try:
+        packed = "".join([_PARSE[token] for token in tokens])
+    except KeyError:
+        return _parse_tokens(tokens, alphabet)
+    if packed and ord(max(packed)) > 2 * alphabet.rank + 1:
+        return _parse_tokens(tokens, alphabet)
+    # A letter followed by its inverse shows as a letter equal to the
+    # inverse of the one before it; reduce only when one exists.
+    if any(map(eq, packed[1:], packed.translate(_FLIP))):
+        packed = _reduce_chars(packed)
+    return _from_chars(alphabet, packed)
+
+
 def serialize_word(w: Word) -> str:
-    return " ".join(f"x{i}" if i > 0 else f"x{-i}^-1" for i in w)
+    return w.chars.translate(_SERIALIZE)[:-1]

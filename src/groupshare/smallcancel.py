@@ -10,10 +10,10 @@ that are (or provably are not) equal to the identity.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from random import Random
 from typing import Iterable
 
@@ -181,17 +181,17 @@ def check_small_cancellation(p: Presentation, lam: Fraction | str | int) -> Canc
     if not p.relators:
         return CancellationReport(lam, Fraction(0), None, True)
     ordered = sorted(m.chars for m in symmetrize(p.relators, p.alphabet).members)
-    best = Fraction(0)
+    best_piece, best_length = 0, 1  # the largest ratio so far, compared in integers
     witness: tuple[Word, Word] | None = None
     for a, b in zip(ordered, ordered[1:]):
         l = _lcp(a, b)
         if not l:
             continue
         for member in (a, b):
-            ratio = Fraction(l, len(member))
-            if ratio > best:
-                best = ratio
+            if l * best_length > best_piece * len(member):
+                best_piece, best_length = l, len(member)
                 witness = (_from_chars(p.alphabet, member[:l]), _from_chars(p.alphabet, member))
+    best = Fraction(best_piece, best_length)
     return CancellationReport(lam, best, witness, best < lam)
 
 
@@ -253,28 +253,40 @@ class _DehnIndex:
 
     For every symmetrized member r the minimal replaceable prefix length is
     t = |r| // 2 + 1 (the least length strictly greater than |r| / 2).
-    ``tables[t]`` maps each length-t prefix to the members it opens, and
-    ``pattern`` is one alternation regex over all such prefixes, so the
-    leftmost candidate position is found by a single C-level scan.
+    ``tables[t]`` maps each length-t prefix to the members it opens, so a
+    position starts a candidate exactly when one of its windows of a
+    length in ``thresholds`` is a key of the matching table.
     """
 
-    __slots__ = ("alphabet", "members", "tables", "thresholds", "pattern")
+    __slots__ = ("tables", "thresholds")
 
     def __init__(self, p: Presentation):
-        self.alphabet = p.alphabet
-        self.members = (
-            symmetrize(p.relators, p.alphabet).members if p.relators else ()
-        )
+        members = symmetrize(p.relators, p.alphabet).members if p.relators else ()
         tables: dict[int, dict[str, list[str]]] = {}
-        for member in self.members:
+        for member in members:
             t = len(member.chars) // 2 + 1
             tables.setdefault(t, {}).setdefault(member.chars[:t], []).append(member.chars)
         self.tables = {
             t: {k: tuple(v) for k, v in table.items()} for t, table in tables.items()
         }
         self.thresholds = tuple(sorted(self.tables))
-        keys = [k for t in self.thresholds for k in self.tables[t]]
-        self.pattern = re.compile("|".join(map(re.escape, keys))) if keys else None
+
+    def leftmost(self, chars: str, start: int) -> int:
+        """Least position >= ``start`` that opens a candidate, or -1."""
+        found = -1
+        for t in self.thresholds:
+            stop = len(chars) - t + 1
+            if found >= 0:
+                stop = min(stop, found)
+            if stop <= start:
+                continue
+            # chars[i : i + t] for i in range(start, stop), looked up at C speed
+            windows = map(chars.__getitem__,
+                          map(slice, range(start, stop), range(start + t, stop + t)))
+            hit = next(compress(count(start), map(self.tables[t].__contains__, windows)), -1)
+            if hit >= 0:
+                found = hit
+        return found
 
 
 @lru_cache(maxsize=128)
@@ -300,41 +312,50 @@ def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) ->
     index = _dehn_index(p)
     chars = w.chars
     steps: list[DehnStep] = []
-    if index.pattern is not None:
-        while True:
-            hit = index.pattern.search(chars)
-            if hit is None:
-                break
-            pos = hit.start()
-            best_len = 0
-            best_member = ""
-            for t in index.thresholds:
-                if pos + t > len(chars):
-                    continue
-                bucket = index.tables[t].get(chars[pos : pos + t])
-                if not bucket:
-                    continue
-                for member in bucket:
+    widest = index.thresholds[-1] if index.thresholds else 0
+    start = 0
+    while True:
+        pos = index.leftmost(chars, start)
+        if pos < 0:
+            break
+        best_len = 0
+        best_member = ""
+        for t in index.thresholds:
+            if pos + t > len(chars):
+                continue
+            bucket = index.tables[t].get(chars[pos : pos + t])
+            if not bucket:
+                continue
+            for member in bucket:
+                if chars.startswith(member, pos):
+                    length = len(member)
+                else:
                     length = t
                     cap = min(len(member), len(chars) - pos)
                     while length < cap and chars[pos + length] == member[length]:
                         length += 1
-                    if length > best_len:
-                        best_len, best_member = length, member
-            replacement = _invert_chars(best_member[best_len:])
-            steps.append(
-                DehnStep(
-                    position=pos,
-                    replaced=_from_chars(p.alphabet, chars[pos : pos + best_len]),
-                    replacement=_from_chars(p.alphabet, replacement),
-                    relator=_from_chars(p.alphabet, best_member),
-                )
+                if length > best_len:
+                    best_len, best_member = length, member
+        replacement = _invert_chars(best_member[best_len:])
+        steps.append(
+            DehnStep(
+                position=pos,
+                replaced=_from_chars(p.alphabet, chars[pos : pos + best_len]),
+                replacement=_from_chars(p.alphabet, replacement),
+                relator=_from_chars(p.alphabet, best_member),
             )
-            shorter = _merge_chars(
-                _merge_chars(chars[:pos], replacement), chars[pos + best_len :]
-            )
-            assert len(shorter) < len(chars)
-            chars = shorter
+        )
+        rest = chars[pos + best_len :]
+        head = _merge_chars(chars[:pos], replacement)
+        shorter = _merge_chars(head, rest)
+        assert len(shorter) < len(chars)
+        # Free reduction cancels letters in pairs across each seam, so the
+        # first ``kept`` letters are untouched.  No candidate opened before
+        # ``pos``, so none opens where the widest window ends among them.
+        kept = min(pos - (pos + len(replacement) - len(head)) // 2,
+                   len(head) - (len(head) + len(rest) - len(shorter)) // 2)
+        start = max(0, kept - widest + 1)
+        chars = shorter
     return DehnTrace(tuple(steps), _from_chars(p.alphabet, chars), not chars)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import shutil
 from pathlib import Path
 
@@ -149,6 +150,80 @@ def test_recover_rejects_files_that_miss_their_digest(tmp_path, capsys, tamper):
     assert "does not match the digest" in err
 
 
+def _commit_digest(session: Path, name: str) -> None:
+    """Rewrite the manifest digest of ``name`` to match the file, as anyone
+    who can write the public files can."""
+    manifest = session / "manifest"
+    digest = hashlib.sha256((session / name).read_bytes()).hexdigest()
+    manifest.write_text(_set_value(f"sha256:{name}", digest)(manifest.read_text()))
+
+
+def _commit_mac(session: Path, j: int) -> None:
+    """Rewrite the MAC of bundle ``j``, which needs participant j's secure
+    presentation as the key."""
+    manifest = session / "manifest"
+    key = (session / "secure" / f"participant-{j}.grp").read_bytes()
+    bundle = (session / "open" / f"bundle-{j}.txt").read_bytes()
+    mac = hmac.new(key, bundle, hashlib.sha256).hexdigest()
+    manifest.write_text(_set_value(f"hmac-sha256:open/bundle-{j}.txt", mac)(manifest.read_text()))
+
+
+def test_recover_rejects_rewritten_bundle_with_recomputed_digest(tmp_path, capsys):
+    # a writer of the open channel edits a bundle word and its public digest;
+    # before the MAC, recover printed 40ffee with exit 0
+    session = tmp_path / "s"
+    run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",
+        "--seed", "6", "--session-dir", str(session))
+    _flip_bundle_letter(session)
+    _commit_digest(session, "open/bundle-2.txt")
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert err == "error: open/bundle-2.txt does not match its MAC in the manifest\n"
+
+
+def test_deal_refuses_lambda_above_one_sixth(tmp_path, capsys):
+    # with --lambda 1/2 this session used to recover as c07be6c0ffeec0ffee, exit 0
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", "--mode", "nn", "--secret", "c0ffeec0ffeec0ffee",
+                         "--n", "3", "--rank", "2", "--length", "10", "--lambda", "1/2",
+                         "--seed", "1", "--session-dir", str(session))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "--lambda must be at most 1/6" in err
+    assert not session.exists()
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+
+
+def _loose_presentation(tmp_path: Path, capsys) -> str:
+    loose = tmp_path / "loose.grp"
+    code, out, _ = run(capsys, "gen-group", "--rank", "3", "--length", "10", "--lambda", "1/2",
+                       "--seed", "1", "--out", str(loose))
+    assert code == 0 and "satisfied True" in out
+    text = loose.read_text()
+    assert not check_small_cancellation(parse_presentation(text), "1/6").satisfied
+    return text
+
+
+@pytest.mark.parametrize("loose, message", [
+    (False, "secure/participant-2.grp has no relators"),
+    (True, "secure/participant-2.grp does not satisfy C'(1/6)"),
+])
+def test_recover_refuses_presentations_dehn_cannot_decide(tmp_path, capsys, loose, message):
+    session = tmp_path / "s"
+    run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",
+        "--seed", "6", "--session-dir", str(session))
+    text = _loose_presentation(tmp_path, capsys) if loose else "generators 3\n"
+    (session / "secure" / "participant-2.grp").write_text(text)
+    _commit_digest(session, "secure/participant-2.grp")
+    _commit_mac(session, 2)
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
 def test_nn_secret_must_be_hex(tmp_path, capsys):
     code, _, err = run(capsys, "deal", "--mode", "nn", "--secret", "zz", "--n", "2",
                        "--seed", "1", "--session-dir", str(tmp_path / "s"))
@@ -243,9 +318,8 @@ def test_recover_reports_malformed_fields_in_one_line(tn_session, tmp_path, caps
     path = session / name
     path.write_text(edit(path.read_text()))
     if name != "manifest":  # recommit, so that parsing is what rejects the file
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        manifest = session / "manifest"
-        manifest.write_text(_set_value(f"sha256:{name}", digest)(manifest.read_text()))
+        _commit_digest(session, name)
+        _commit_mac(session, 1)
     code, out, err = run(capsys, "recover", "--session-dir", str(session),
                          "--participants", "1,2,3")
     assert code == 2 and out == ""

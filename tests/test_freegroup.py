@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -196,7 +197,16 @@ def test_serialize_examples():
     assert serialize_word(Word(A3, [])) == ""
 
 
-@given(raw_words())
+@st.composite
+def wide_raw_words(draw):
+    """Ranks 1-200: from rank 20 on, packed letters include regex
+    metacharacters such as ``(``, ``)``, ``*`` and ``+``."""
+    m = draw(st.integers(1, 200))
+    letters = draw(st.lists(st.integers(-m, m).filter(lambda x: x != 0), max_size=60))
+    return Alphabet(m), letters
+
+
+@given(wide_raw_words())
 def test_serialize_parse_round_trip(case):
     alphabet, letters = case
     w = Word(alphabet, letters)
@@ -209,3 +219,58 @@ def test_word_is_immutable():
     w = Word(A2, [1, 2])
     with pytest.raises(AttributeError):
         w.chars = ""
+
+
+# ---------------------------------------------------------------------------
+# the text codec against the per-letter formatting it replaced
+
+def reference_text(letters):
+    return " ".join(f"x{i}" if i > 0 else f"x{-i}^-1" for i in letters)
+
+
+@given(wide_raw_words())
+def test_serialize_matches_reference_formatting(case):
+    alphabet, letters = case
+    w = Word(alphabet, letters)
+    assert serialize_word(w) == reference_text(w.letters)
+
+
+@given(wide_raw_words())
+def test_parse_reduces_unreduced_text(case):
+    alphabet, letters = case
+    assert parse_word(reference_text(letters), alphabet).letters == naive_reduce(letters)
+
+
+def test_codec_beyond_the_table_rank():
+    alphabet = Alphabet(3000)
+    w = Word(alphabet, [1, -2999, 3000, 257, -256, 2, -2])
+    assert serialize_word(w) == reference_text(w.letters) == "x1 x2999^-1 x3000 x257 x256^-1"
+    assert parse_word(serialize_word(w), alphabet) == w
+    with pytest.raises(ValueError, match="^generator index 3001 outside rank 3000$"):
+        parse_word("x1 x3001", alphabet)
+
+
+@pytest.mark.parametrize(
+    "text, letters",
+    [("x01", (1,)), ("x01^-1 x002", (-1, 2)), ("  x3\tx2\n", (3, 2)), ("x1 x01^-1", ())],
+)
+def test_parse_accepts_noncanonical_spellings(text, letters):
+    assert parse_word(text, A3).letters == letters
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0", "generator index 0 outside rank 3"),
+        ("x4", "generator index 4 outside rank 3"),
+        ("x1 x2 x4^-1", "generator index 4 outside rank 3"),
+        ("x1^-2", "malformed word token 'x1^-2'"),
+        ("y1", "malformed word token 'y1'"),
+        ("x9 y1", "generator index 9 outside rank 3"),
+        ("y1 x9", "malformed word token 'y1'"),
+        ("x20", "generator index 20 outside rank 3"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_word(text, A3)

@@ -15,7 +15,10 @@ from groupshare.freegroup import (
     random_reduced_word,
     serialize_word,
 )
+from groupshare.scheme import WordParams, encode_column
 from groupshare.smallcancel import (
+    DehnStep,
+    DehnTrace,
     Presentation,
     check_small_cancellation,
     dehn_is_trivial,
@@ -329,6 +332,97 @@ def test_dehn_invariant_under_conjugation(platform_group):
         h = random_reduced_word(6, platform_group.alphabet, rng)
         assert dehn_is_trivial(platform_group, conjugate(w, h)).is_trivial
         assert not dehn_is_trivial(platform_group, conjugate(nt, h)).is_trivial
+
+
+def naive_dehn(p, w):
+    """Reference Dehn reduction: at every step try every position from the
+    left and every symmetrized member in canonical order, take the leftmost
+    position where some member matches more than half of itself, and there
+    the longest match, the first member winning a tie."""
+    members = [(r, r.letters) for r in symmetrize(p.relators).members] if p.relators else []
+    current = w
+    steps = []
+    while True:
+        letters = current.letters
+        best = None
+        for pos in range(len(letters)):
+            for r, rl in members:
+                n = 0
+                while n < len(rl) and pos + n < len(letters) and letters[pos + n] == rl[n]:
+                    n += 1
+                if 2 * n > len(rl) and (best is None or n > best[1]):
+                    best = (pos, n, r)
+            if best is not None:
+                break
+        if best is None:
+            return DehnTrace(tuple(steps), current, not current)
+        pos, n, r = best
+        replaced = Word(p.alphabet, r.letters[:n])
+        replacement = invert(Word(p.alphabet, r.letters[n:]))
+        steps.append(DehnStep(pos, replaced, replacement, r))
+        current = Word(p.alphabet, letters[:pos] + replacement.letters + letters[pos + n :])
+
+
+def test_dehn_matches_naive_scan_on_dealt_words(platform_group):
+    rng = Random(61)
+    bits = [rng.randrange(2) for _ in range(24)]
+    column = encode_column(bits, platform_group, WordParams(), rng)
+    for w in column.words:
+        assert dehn_is_trivial(platform_group, w) == naive_dehn(platform_group, w)
+
+
+def test_dehn_matches_naive_scan_on_random_words(platform_group):
+    rng = Random(67)
+    for _ in range(30):
+        w = random_reduced_word(rng.randrange(0, 70), platform_group.alphabet, rng)
+        assert dehn_is_trivial(platform_group, w) == naive_dehn(platform_group, w)
+
+
+def test_dehn_matches_naive_scan_on_bare_four_factor_products(platform_group):
+    # with no conjugators the factors meet head to tail, so free reduction
+    # at each seam and each replacement can cancel far to the left
+    rng = Random(71)
+    for build in (make_trivial_word, make_nontrivial_word):
+        for _ in range(10):
+            w = build(platform_group, 4, 0, rng)
+            assert dehn_is_trivial(platform_group, w) == naive_dehn(platform_group, w)
+
+
+def test_dehn_matches_naive_scan_with_several_thresholds():
+    # relators of lengths 5, 6, 9 and 12 open candidates at 3, 4, 5 and 7
+    # letters; short relators make long chains of steps, each one able to
+    # open a candidate just left of the letters it rewrote
+    rng = Random(73)
+    for _ in range(20):
+        relators = []
+        for length in rng.sample((5, 6, 9, 12), 3):
+            r = random_reduced_word(length, A2, rng)
+            while not r.is_cyclically_reduced():
+                r = random_reduced_word(length, A2, rng)
+            relators.append(r)
+        p = Presentation(A2, tuple(relators))
+        for _ in range(15):
+            w = random_reduced_word(rng.randrange(0, 4), A2, rng)
+            for _ in range(rng.randrange(1, 9)):
+                r = relators[rng.randrange(3)]
+                h = random_reduced_word(rng.randrange(0, 3), A2, rng)
+                w = concat(w, conjugate(r if rng.randrange(2) else invert(r), h))
+                w = concat(w, random_reduced_word(rng.randrange(0, 3), A2, rng))
+            assert dehn_is_trivial(p, w) == naive_dehn(p, w)
+
+
+def test_dehn_breaks_ties_by_canonical_member_order():
+    # the word opens two members of length 6 at position 0, over 5 letters
+    # each; the first in canonical order is the one used
+    r1 = parse_word("x1 x2 x1 x2 x1 x2", A2)
+    r2 = parse_word("x1 x2 x1 x2 x1 x1", A2)
+    p = Presentation(A2, (r1, r2))
+    w = parse_word("x1 x2 x1 x2 x1 x2^-1", A2)
+    trace = dehn_is_trivial(p, w)
+    assert trace == naive_dehn(p, w)
+    first = min((r1, r2), key=lambda r: r.chars)
+    assert trace.steps[0].position == 0 and trace.steps[0].relator == first
+    assert len(trace.steps[0].replaced) == 5
 
 
 # ---------------------------------------------------------------------------
