@@ -171,23 +171,32 @@ def _parse_bundle(text: str, rank: int, k: int) -> WordColumn:
     return WordColumn(tuple(words), group_hint=participant)
 
 
-def _read_committed(session: Path, name: str, manifest: dict[str, str]) -> bytes:
-    """Read a session file and check it against its manifest digest."""
-    data = (session / name).read_bytes()
-    if hashlib.sha256(data).hexdigest() != manifest.get(f"sha256:{name}"):
-        raise ValueError(f"{name} does not match the digest in the manifest")
-    return data
+_MAC_KEY = "hmac-sha256:"
 
 
-def _bundle_mac(presentation: bytes, bundle: bytes) -> str:
-    """HMAC-SHA256 of a bundle keyed by its participant's presentation text:
-    the manifest's plain digests stop accidents, this stops a writer of the
-    open channel, who cannot recompute it without the secure payload."""
-    return hmac.new(presentation, bundle, hashlib.sha256).hexdigest()
+def _bundle_mac(presentation: bytes, header: str, bundle: bytes) -> str:
+    """HMAC-SHA256 of the manifest header and one bundle, keyed by that
+    participant's presentation text under a fixed label.
+
+    Only a holder of the secure payload can recompute it, so a writer of the
+    open channel can change neither the bundle nor the public parameters.
+    The label keeps the key apart from a bare SHA-256 of the presentation,
+    which HMAC would otherwise use as its key for any text longer than a hash
+    block.  The header enters as its digest, so no line can move between the
+    header and the bundle without changing the message.
+    """
+    key = hashlib.sha256(b"groupshare bundle mac\n" + presentation).digest()
+    message = hashlib.sha256(header.encode()).digest() + bundle
+    return hmac.new(key, message, hashlib.sha256).hexdigest()
 
 
 def _manifest_text(entries: dict[str, str]) -> str:
     return "\n".join(f"{key} {value}" for key, value in entries.items()) + "\n"
+
+
+def _manifest_header(manifest: dict[str, str]) -> str:
+    """Every manifest line except the MACs, in file order."""
+    return _manifest_text({k: v for k, v in manifest.items() if not k.startswith(_MAC_KEY)})
 
 
 def _read_manifest(session: Path) -> dict[str, str]:
@@ -284,16 +293,13 @@ def cmd_deal(args: argparse.Namespace) -> None:
                 "rank": str(args.rank)}
     if args.mode == "tn":
         manifest["p"] = str(args.p)
+    header = _manifest_text(manifest)
     for j, (g, column) in enumerate(zip(groups, columns), start=1):
         secure_text, open_text = serialize_presentation(g), _bundle_text(column, k)
-        for name, text in (
-            (f"secure/participant-{j}.grp", secure_text),
-            (f"open/bundle-{j}.txt", open_text),
-        ):
-            _write(session / name, text)
-            manifest[f"sha256:{name}"] = hashlib.sha256(text.encode()).hexdigest()
-        manifest[f"hmac-sha256:open/bundle-{j}.txt"] = _bundle_mac(
-            secure_text.encode(), open_text.encode()
+        _write(session / f"secure/participant-{j}.grp", secure_text)
+        _write(session / f"open/bundle-{j}.txt", open_text)
+        manifest[f"{_MAC_KEY}participant-{j}"] = _bundle_mac(
+            secure_text.encode(), header, open_text.encode()
         )
     _write(session / "manifest", _manifest_text(manifest))
     print(f"dealt {args.mode} session for {args.n} participants into {session}")
@@ -316,20 +322,23 @@ def cmd_recover(args: argparse.Namespace) -> None:
             f"got {len(listed)}"
         )
 
+    header = _manifest_header(manifest)
     decoded = {}
     for j in listed:
         secure_name, open_name = f"secure/participant-{j}.grp", f"open/bundle-{j}.txt"
-        secure_data = _read_committed(session, secure_name, manifest)
+        secure_data = (session / secure_name).read_bytes()
+        open_data = (session / open_name).read_bytes()
+        mac = manifest.get(f"{_MAC_KEY}participant-{j}", "")
+        if not hmac.compare_digest(_bundle_mac(secure_data, header, open_data).encode(),
+                                   mac.encode()):
+            raise ValueError(f"MAC check failed for participant {j}: the manifest "
+                             f"header, {secure_name} or {open_name} was changed")
         presentation = parse_presentation(secure_data.decode())
         if not presentation.relators:
             raise ValueError(f"{secure_name} has no relators")
         if not check_small_cancellation(presentation, ONE_SIXTH).satisfied:
             raise ValueError(f"{secure_name} does not satisfy C'(1/6), on which alone "
                              "Dehn's algorithm decides the word problem")
-        open_data = _read_committed(session, open_name, manifest)
-        mac = manifest.get(f"hmac-sha256:{open_name}", "")
-        if not hmac.compare_digest(_bundle_mac(secure_data, open_data).encode(), mac.encode()):
-            raise ValueError(f"{open_name} does not match its MAC in the manifest")
         bundle = _parse_bundle(open_data.decode(), rank, k)
         if bundle.group_hint != j:
             raise ValueError(f"bundle {j} carries participant tag {bundle.group_hint}")

@@ -59,8 +59,11 @@ def _letter(ch: str) -> int:
 
 # The codec runs as ``str.translate`` and dict lookups over tables of the
 # packed codes of every rank up to _TABLE_RANK; the translate tables work
-# out any larger code when it is looked up.
-_TABLE_RANK = 256
+# out any larger code when it is looked up, and the parser takes its general
+# path.  Platform groups have small rank; only Tietze rewriting goes far
+# beyond it, and serializes little, so a wider table would only add memory
+# to every process (about 160 KB at rank 256).
+_TABLE_RANK = 16
 
 
 class _Table(dict):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from groupshare.cli import main
+from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
 from groupshare.freegroup import parse_word
 from groupshare.smallcancel import check_small_cancellation, dehn_is_trivial, parse_presentation
 from groupshare.tietze import expand_word
@@ -147,39 +147,42 @@ def test_recover_rejects_files_that_miss_their_digest(tmp_path, capsys, tamper):
     code, out, err = run(capsys, "recover", "--session-dir", str(session),
                          "--participants", "1,2,3")
     assert code == 2 and out == ""
-    assert "does not match the digest" in err
-
-
-def _commit_digest(session: Path, name: str) -> None:
-    """Rewrite the manifest digest of ``name`` to match the file, as anyone
-    who can write the public files can."""
-    manifest = session / "manifest"
-    digest = hashlib.sha256((session / name).read_bytes()).hexdigest()
-    manifest.write_text(_set_value(f"sha256:{name}", digest)(manifest.read_text()))
+    assert err.startswith("error: MAC check failed for participant 2: ")
 
 
 def _commit_mac(session: Path, j: int) -> None:
-    """Rewrite the MAC of bundle ``j``, which needs participant j's secure
-    presentation as the key."""
+    """Rewrite the MAC of participant ``j`` to match the files, as only a
+    holder of participant j's secure presentation can."""
     manifest = session / "manifest"
-    key = (session / "secure" / f"participant-{j}.grp").read_bytes()
-    bundle = (session / "open" / f"bundle-{j}.txt").read_bytes()
-    mac = hmac.new(key, bundle, hashlib.sha256).hexdigest()
-    manifest.write_text(_set_value(f"hmac-sha256:open/bundle-{j}.txt", mac)(manifest.read_text()))
+    mac = _bundle_mac(
+        (session / "secure" / f"participant-{j}.grp").read_bytes(),
+        _manifest_header(_read_manifest(session)),
+        (session / "open" / f"bundle-{j}.txt").read_bytes(),
+    )
+    manifest.write_text(_set_value(f"hmac-sha256:participant-{j}", mac)(manifest.read_text()))
 
 
-def test_recover_rejects_rewritten_bundle_with_recomputed_digest(tmp_path, capsys):
-    # a writer of the open channel edits a bundle word and its public digest;
-    # before the MAC, recover printed 40ffee with exit 0
+def test_recover_rejects_mac_forged_from_a_presentation_digest(tmp_path, capsys):
+    # HMAC hashes a key longer than a block, so a MAC keyed by the bare
+    # presentation text could be forged from its SHA-256, which earlier
+    # manifests published: a forged bundle then recovered as 40ffee, exit 0
     session = tmp_path / "s"
     run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",
         "--seed", "6", "--session-dir", str(session))
+    presentation = (session / "secure" / "participant-2.grp").read_bytes()
+    digest = hashlib.sha256(presentation).digest()
+    assert digest.hex() not in (session / "manifest").read_text()
     _flip_bundle_letter(session)
-    _commit_digest(session, "open/bundle-2.txt")
-    code, out, err = run(capsys, "recover", "--session-dir", str(session),
-                         "--participants", "1,2,3")
-    assert code == 2 and out == ""
-    assert err == "error: open/bundle-2.txt does not match its MAC in the manifest\n"
+    bundle = (session / "open" / "bundle-2.txt").read_bytes()
+    header = hashlib.sha256(_manifest_header(_read_manifest(session)).encode()).digest()
+    for message in (bundle, header + bundle):
+        forged = hmac.new(digest, message, hashlib.sha256).hexdigest()
+        manifest = session / "manifest"
+        manifest.write_text(_set_value("hmac-sha256:participant-2", forged)(manifest.read_text()))
+        code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                             "--participants", "1,2,3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: MAC check failed for participant 2: ")
 
 
 def test_deal_refuses_lambda_above_one_sixth(tmp_path, capsys):
@@ -216,7 +219,6 @@ def test_recover_refuses_presentations_dehn_cannot_decide(tmp_path, capsys, loos
         "--seed", "6", "--session-dir", str(session))
     text = _loose_presentation(tmp_path, capsys) if loose else "generators 3\n"
     (session / "secure" / "participant-2.grp").write_text(text)
-    _commit_digest(session, "secure/participant-2.grp")
     _commit_mac(session, 2)
     code, out, err = run(capsys, "recover", "--session-dir", str(session),
                          "--participants", "1,2,3")
@@ -262,6 +264,20 @@ def test_tn_secure_sum_matches_plain(tn_session, capsys):
                        "--participants", "1,3,5", "--secure-sum")
     assert code == 0 and out.strip() == "4242"
     assert (tn_session / "transcripts" / "recover-1-3-5.log").exists()
+
+
+@pytest.mark.parametrize("key, value", [("p", "8209"), ("t", "2"), ("n", "6")])
+def test_recover_rejects_edited_manifest_header(tn_session, tmp_path, capsys, key, value):
+    # without the header in the MAC, p 8209 (a prime above every share)
+    # recovered a wrong secret with exit 0
+    session = tmp_path / "s"
+    shutil.copytree(tn_session, session)
+    manifest = session / "manifest"
+    manifest.write_text(_set_value(key, value)(manifest.read_text()))
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: MAC check failed for participant 1: ")
 
 
 def test_tn_usage_validation(tmp_path, capsys):
@@ -317,9 +333,7 @@ def test_recover_reports_malformed_fields_in_one_line(tn_session, tmp_path, caps
     shutil.copytree(tn_session, session)
     path = session / name
     path.write_text(edit(path.read_text()))
-    if name != "manifest":  # recommit, so that parsing is what rejects the file
-        _commit_digest(session, name)
-        _commit_mac(session, 1)
+    _commit_mac(session, 1)  # so that parsing is what rejects the file
     code, out, err = run(capsys, "recover", "--session-dir", str(session),
                          "--participants", "1,2,3")
     assert code == 2 and out == ""

@@ -197,16 +197,8 @@ def test_serialize_examples():
     assert serialize_word(Word(A3, [])) == ""
 
 
-@st.composite
-def wide_raw_words(draw):
-    """Ranks 1-200: from rank 20 on, packed letters include regex
-    metacharacters such as ``(``, ``)``, ``*`` and ``+``."""
-    m = draw(st.integers(1, 200))
-    letters = draw(st.lists(st.integers(-m, m).filter(lambda x: x != 0), max_size=60))
-    return Alphabet(m), letters
-
-
-@given(wide_raw_words())
+# from rank 20 on, packed letters include regex metacharacters such as ( ) * +
+@given(raw_words(max_rank=200, max_len=60))
 def test_serialize_parse_round_trip(case):
     alphabet, letters = case
     w = Word(alphabet, letters)
@@ -228,14 +220,14 @@ def reference_text(letters):
     return " ".join(f"x{i}" if i > 0 else f"x{-i}^-1" for i in letters)
 
 
-@given(wide_raw_words())
+@given(raw_words(max_rank=200, max_len=60))
 def test_serialize_matches_reference_formatting(case):
     alphabet, letters = case
     w = Word(alphabet, letters)
     assert serialize_word(w) == reference_text(w.letters)
 
 
-@given(wide_raw_words())
+@given(raw_words(max_rank=200, max_len=60))
 def test_parse_reduces_unreduced_text(case):
     alphabet, letters = case
     assert parse_word(reference_text(letters), alphabet).letters == naive_reduce(letters)
@@ -243,8 +235,10 @@ def test_parse_reduces_unreduced_text(case):
 
 def test_codec_beyond_the_table_rank():
     alphabet = Alphabet(3000)
-    w = Word(alphabet, [1, -2999, 3000, 257, -256, 2, -2])
-    assert serialize_word(w) == reference_text(w.letters) == "x1 x2999^-1 x3000 x257 x256^-1"
+    w = Word(alphabet, [1, -2999, 3000, 257, -256, 17, -16, 2, -2])
+    assert serialize_word(w) == reference_text(w.letters) == (
+        "x1 x2999^-1 x3000 x257 x256^-1 x17 x16^-1"
+    )
     assert parse_word(serialize_word(w), alphabet) == w
     with pytest.raises(ValueError, match="^generator index 3001 outside rank 3000$"):
         parse_word("x1 x3001", alphabet)
