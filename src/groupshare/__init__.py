@@ -12,14 +12,11 @@ from .errors import BudgetExhausted
 from .freegroup import (
     Alphabet,
     Word,
-    concat,
     conjugate,
     cyclic_permutations,
     cyclically_reduce,
-    invert,
     parse_word,
     random_reduced_word,
-    reduce,
     serialize_word,
 )
 from .scheme import (
@@ -61,15 +58,12 @@ from .smallcancel import (
     CancellationReport,
     DehnStep,
     DehnTrace,
-    PieceReport,
     Presentation,
-    SymmetrizedSet,
     check_small_cancellation,
     dehn_is_trivial,
     make_nontrivial_word,
     make_trivial_word,
     make_trivial_word_certified,
-    max_piece,
     parse_presentation,
     random_platform_group,
     serialize_presentation,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import hmac
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -129,6 +130,13 @@ def _print_report(report: CancellationReport) -> None:
     print(f"satisfied {report.satisfied}")
 
 
+def _parse_lambda(raw: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--lambda must be a fraction such as 1/6, got {raw!r}") from None
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -231,7 +239,7 @@ def cmd_gen_group(args: argparse.Namespace) -> None:
         raise UsageError("--length must exceed 6")
     if args.rank < 1 or args.relators < 1:
         raise UsageError("--rank and --relators must be positive")
-    lam = Fraction(args.lam)
+    lam = _parse_lambda(args.lam)
     rng = Random(args.seed)
     p = random_platform_group(args.rank, args.relators, args.length, lam, rng)
     _write(Path(args.out), serialize_presentation(p))
@@ -252,7 +260,7 @@ def cmd_deal(args: argparse.Namespace) -> None:
     elif args.t is not None and args.t != args.n:
         raise UsageError("nn mode fixes t = n")
 
-    lam = Fraction(args.lam)
+    lam = _parse_lambda(args.lam)
     if lam > ONE_SIXTH:
         raise UsageError("--lambda must be at most 1/6: Dehn's algorithm decides "
                          "the word problem only on C'(1/6) groups")
@@ -262,10 +270,9 @@ def cmd_deal(args: argparse.Namespace) -> None:
 
     if args.mode == "tn":
         modulus = PrimeModulus(args.p)
-        try:
-            secret = int(args.secret, 10)
-        except ValueError as exc:
-            raise ValueError(f"tn secret must be decimal, got {args.secret!r}") from exc
+        if not re.fullmatch("[0-9]+", args.secret):
+            raise ValueError(f"tn secret must be decimal, got {args.secret!r}")
+        secret = int(args.secret)
         if not 0 <= secret < modulus.p:
             raise ValueError(f"secret out of range [0, {modulus.p})")
         k = modulus.p.bit_length()
@@ -277,10 +284,9 @@ def cmd_deal(args: argparse.Namespace) -> None:
         deal = partial(deal_tn, secret, cfg, rng=rng, word_params=word_params)
         t_value = args.t
     else:
-        try:
-            secret_value = int(args.secret, 16)
-        except ValueError as exc:
-            raise ValueError(f"nn secret must be hex, got {args.secret!r}") from exc
+        if not re.fullmatch("[0-9a-fA-F]+", args.secret):
+            raise ValueError(f"nn secret must be hex, got {args.secret!r}")
+        secret_value = int(args.secret, 16)
         k = 4 * len(args.secret)
         bits = int_to_column(secret_value, k)
         deal = partial(deal_nn, bits, word_params=word_params, rng=rng)

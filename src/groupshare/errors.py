@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["BudgetExhausted"]
+
 
 class BudgetExhausted(RuntimeError):
     """A rejection-sampling or retry budget ran out before success."""

@@ -22,9 +22,6 @@ from typing import Callable, Iterable, Iterator
 __all__ = [
     "Alphabet",
     "Word",
-    "reduce",
-    "concat",
-    "invert",
     "conjugate",
     "cyclically_reduce",
     "cyclic_permutations",
@@ -147,7 +144,9 @@ class Word:
         return hash((self.alphabet, self.chars))
 
     def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
+        """Group product: reduced concatenation of ``self`` and ``other``."""
+        _require_same_alphabet(self, other)
+        return _from_chars(self.alphabet, _merge_chars(self.chars, other.chars))
 
     def __repr__(self) -> str:
         return f"Word({serialize_word(self)!r})"
@@ -175,21 +174,6 @@ def _require_same_alphabet(a: Word, b: Word) -> None:
 
 # ---------------------------------------------------------------------------
 # operations
-
-def reduce(alphabet: Alphabet, letters: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence into a :class:`Word`."""
-    return Word(alphabet, letters)
-
-
-def concat(a: Word, b: Word) -> Word:
-    """Group product: reduced concatenation of ``a`` and ``b``."""
-    _require_same_alphabet(a, b)
-    return _from_chars(a.alphabet, _merge_chars(a.chars, b.chars))
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
 
 def conjugate(w: Word, h: Word) -> Word:
     """``h^-1 w h``, reduced."""

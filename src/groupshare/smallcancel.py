@@ -32,13 +32,10 @@ from .freegroup import (
 
 __all__ = [
     "Presentation",
-    "SymmetrizedSet",
-    "PieceReport",
     "CancellationReport",
     "DehnStep",
     "DehnTrace",
     "symmetrize",
-    "max_piece",
     "check_small_cancellation",
     "random_platform_group",
     "dehn_is_trivial",
@@ -71,22 +68,6 @@ class Presentation:
 
 
 @dataclass(frozen=True)
-class SymmetrizedSet:
-    """Relator set closed under inversion and cyclic permutation."""
-
-    alphabet: Alphabet
-    members: tuple[Word, ...]
-
-
-@dataclass(frozen=True)
-class PieceReport:
-    """Longest common initial segment of two distinct symmetrized members."""
-
-    piece: Word
-    witness: tuple[Word, Word] | None
-
-
-@dataclass(frozen=True)
 class CancellationReport:
     lambda_bound: Fraction
     max_piece_ratio: Fraction
@@ -112,11 +93,23 @@ class DehnTrace:
 # ---------------------------------------------------------------------------
 # symmetrization and the metric condition
 
-def _canonical_key(w: Word) -> tuple[int, str]:
-    return (len(w.chars), w.chars)
+def _closure(relators: Iterable[Word], alphabet: Alphabet) -> list[str]:
+    """Packed members of the symmetrized closure R*: every relator,
+    cyclically reduced, with its inverse and all their cyclic permutations,
+    deduplicated in the canonical (length, internal-lex) order."""
+    members: set[str] = set()
+    for r in relators:
+        if r.alphabet != alphabet:
+            raise ValueError("relator over a different alphabet")
+        core = cyclically_reduce(r).chars
+        if not core:
+            raise ValueError("empty relator")
+        for base in (core, _invert_chars(core)):
+            members.update(base[i:] + base[:i] for i in range(len(base)))
+    return sorted(members, key=lambda m: (len(m), m))
 
 
-def symmetrize(relators: Iterable[Word], alphabet: Alphabet | None = None) -> SymmetrizedSet:
+def symmetrize(relators: Iterable[Word], alphabet: Alphabet | None = None) -> tuple[Word, ...]:
     """Close a relator set under inversion and cyclic permutation.
 
     Inputs are cyclically reduced first; members come back deduplicated in
@@ -127,22 +120,7 @@ def symmetrize(relators: Iterable[Word], alphabet: Alphabet | None = None) -> Sy
         if not relators:
             raise ValueError("cannot infer alphabet from an empty relator list")
         alphabet = relators[0].alphabet
-    seen: set[str] = set()
-    members: list[Word] = []
-    for r in relators:
-        if r.alphabet != alphabet:
-            raise ValueError("relator over a different alphabet")
-        core = cyclically_reduce(r)
-        if not core:
-            raise ValueError("empty relator")
-        for base in (core.chars, _invert_chars(core.chars)):
-            for i in range(len(base)):
-                rot = base[i:] + base[:i]
-                if rot not in seen:
-                    seen.add(rot)
-                    members.append(_from_chars(alphabet, rot))
-    members.sort(key=_canonical_key)
-    return SymmetrizedSet(alphabet, tuple(members))
+    return tuple(_from_chars(alphabet, m) for m in _closure(relators, alphabet))
 
 
 def _lcp(a: str, b: str) -> int:
@@ -153,34 +131,15 @@ def _lcp(a: str, b: str) -> int:
     return i
 
 
-def max_piece(s: SymmetrizedSet) -> PieceReport:
-    """Longest word that is an initial segment of two distinct members.
-
-    The maximum common prefix over all pairs is realized by some pair that
-    is adjacent in lexicographic order, so one sorted pass suffices.
-    """
-    ordered = sorted(m.chars for m in s.members)
-    best = 0
-    piece_chars = ""
-    witness: tuple[Word, Word] | None = None
-    for a, b in zip(ordered, ordered[1:]):
-        l = _lcp(a, b)
-        if l > best:
-            best = l
-            piece_chars = a[:l]
-            witness = (_from_chars(s.alphabet, a), _from_chars(s.alphabet, b))
-    return PieceReport(_from_chars(s.alphabet, piece_chars), witness)
-
-
 def check_small_cancellation(p: Presentation, lam: Fraction | str | int) -> CancellationReport:
     """Verify the condition C'(lam): every piece of a relator r from the
     symmetrized closure is shorter than lam * |r|."""
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    if not p.relators:
-        return CancellationReport(lam, Fraction(0), None, True)
-    ordered = sorted(m.chars for m in symmetrize(p.relators, p.alphabet).members)
+    # The longest common prefix of a member with any other is reached at a
+    # neighbour in lexicographic order, so one sorted pass finds every piece.
+    ordered = sorted(_closure(p.relators, p.alphabet))
     best_piece, best_length = 0, 1  # the largest ratio so far, compared in integers
     witness: tuple[Word, Word] | None = None
     for a, b in zip(ordered, ordered[1:]):
@@ -193,14 +152,6 @@ def check_small_cancellation(p: Presentation, lam: Fraction | str | int) -> Canc
                 witness = (_from_chars(p.alphabet, member[:l]), _from_chars(p.alphabet, member))
     best = Fraction(best_piece, best_length)
     return CancellationReport(lam, best, witness, best < lam)
-
-
-def _orbit_signature(w: Word) -> str:
-    """Canonical representative of a word's cyclic-permutation-and-inverse orbit."""
-    rotations = []
-    for base in (w.chars, _invert_chars(w.chars)):
-        rotations.extend(base[i:] + base[:i] for i in range(len(base)))
-    return min(rotations)
 
 
 def random_platform_group(
@@ -233,7 +184,7 @@ def random_platform_group(
             while not w.is_cyclically_reduced():
                 w = random_reduced_word(r_length, alphabet, rng)
             words.append(w)
-        signatures = {_orbit_signature(w) for w in words}
+        signatures = {_closure((w,), alphabet)[0] for w in words}
         if len(signatures) < r_count:
             continue
         candidate = Presentation(alphabet, tuple(words))
@@ -261,11 +212,10 @@ class _DehnIndex:
     __slots__ = ("tables", "thresholds")
 
     def __init__(self, p: Presentation):
-        members = symmetrize(p.relators, p.alphabet).members if p.relators else ()
         tables: dict[int, dict[str, list[str]]] = {}
-        for member in members:
-            t = len(member.chars) // 2 + 1
-            tables.setdefault(t, {}).setdefault(member.chars[:t], []).append(member.chars)
+        for member in _closure(p.relators, p.alphabet):
+            t = len(member) // 2 + 1
+            tables.setdefault(t, {}).setdefault(member[:t], []).append(member)
         self.tables = {
             t: {k: tuple(v) for k, v in table.items()} for t, table in tables.items()
         }

@@ -19,10 +19,8 @@ from .freegroup import (
     _from_chars,
     _invert_chars,
     _merge_chars,
-    concat,
     conjugate,
     cyclically_reduce,
-    invert,
     serialize_word,
 )
 from .smallcancel import Presentation, serialize_presentation
@@ -130,10 +128,6 @@ class BreakdownResult:
 # ---------------------------------------------------------------------------
 # the four elementary transformations
 
-def _lift(w: Word, alphabet: Alphabet) -> Word:
-    return _from_chars(alphabet, w.chars)
-
-
 def apply_t1(p: Presentation, definition: Word) -> Presentation:
     """Add generator y = x_{m+1} with defining relator y * definition^-1."""
     if definition.alphabet != p.alphabet:
@@ -143,7 +137,7 @@ def apply_t1(p: Presentation, definition: Word) -> Presentation:
     new_relator = _from_chars(
         wide, _merge_chars(chr(2 * y), _invert_chars(definition.chars))
     )
-    relators = tuple(_lift(r, wide) for r in p.relators) + (new_relator,)
+    relators = tuple(_from_chars(wide, r.chars) for r in p.relators) + (new_relator,)
     return Presentation(wide, relators)
 
 
@@ -239,7 +233,7 @@ def apply_t4prime(p: Presentation, move: T4Replace) -> Presentation:
     r = p.relators[i]
     variant = move.variant
     if variant == "r_i^-1":
-        replacement = invert(r)
+        replacement = r.inverse()
     elif variant in ("r_i r_j", "r_i r_j^-1", "r_j r_i", "r_j r_i^-1"):
         j = move.other
         if j is None or not 0 <= j < len(p.relators):
@@ -248,19 +242,19 @@ def apply_t4prime(p: Presentation, move: T4Replace) -> Presentation:
             raise ValueError("product variant requires j != i")
         s = p.relators[j]
         if variant == "r_i r_j":
-            replacement = concat(r, s)
+            replacement = r * s
         elif variant == "r_i r_j^-1":
-            replacement = concat(r, invert(s))
+            replacement = r * s.inverse()
         elif variant == "r_j r_i":
-            replacement = concat(s, r)
+            replacement = s * r
         else:
-            replacement = concat(s, invert(r))
+            replacement = s * r.inverse()
     elif variant in ("x^-1 r_i x", "x r_i x^-1"):
         k = move.generator
         if k is None or not 1 <= k <= p.alphabet.rank:
             raise ValueError("conjugation variant needs a valid generator")
         x = Word(p.alphabet, [k])
-        replacement = conjugate(r, x if variant == "x^-1 r_i x" else invert(x))
+        replacement = conjugate(r, x if variant == "x^-1 r_i x" else x.inverse())
     else:
         raise ValueError(f"unrecognized T4' variant {variant!r}")
     replacement = cyclically_reduce(replacement)

@@ -1,9 +1,14 @@
 import hashlib
 import hmac
+import io
 import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
 from groupshare.freegroup import parse_word
@@ -226,10 +231,42 @@ def test_recover_refuses_presentations_dehn_cannot_decide(tmp_path, capsys, loos
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")
 
 
-def test_nn_secret_must_be_hex(tmp_path, capsys):
-    code, _, err = run(capsys, "deal", "--mode", "nn", "--secret", "zz", "--n", "2",
-                       "--seed", "1", "--session-dir", str(tmp_path / "s"))
-    assert code == 2 and "hex" in err
+# int() also takes a 0x prefix, digit-group underscores, a sign, surrounding
+# blanks and non-ASCII digits: "0x1f" used to deal and recover as 001f
+@pytest.mark.parametrize("secret", ["zz", "0x1f", "f_f", "+f", " ff", "\u0663f", ""])
+def test_nn_secret_must_be_hex(tmp_path, capsys, secret):
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", "--mode", "nn", "--secret", secret, "--n", "2",
+                         "--seed", "1", "--session-dir", str(session))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: nn secret must be hex")
+    assert not session.exists()
+
+
+@pytest.mark.parametrize("secret", ["4_2", "+42", " 42", "0x2a", "4\u0662", ""])
+def test_tn_secret_must_be_decimal(tmp_path, capsys, secret):
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", "--mode", "tn", "--secret", secret, "--n", "3",
+                         "--t", "2", "--p", "8191", "--seed", "1",
+                         "--session-dir", str(session))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: tn secret must be decimal")
+    assert not session.exists()
+
+
+@pytest.mark.parametrize("lam", ["1/0", "abc"])
+@pytest.mark.parametrize("command", ["gen-group", "deal"])
+def test_bad_lambda_is_one_line_data_error(tmp_path, capsys, command, lam):
+    target = tmp_path / "out"
+    if command == "gen-group":
+        argv = ["gen-group", "--lambda", lam, "--out", str(target)]
+    else:
+        argv = ["deal", "--mode", "nn", "--secret", "ab", "--n", "3", "--lambda", lam,
+                "--session-dir", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --lambda must be a fraction such as 1/6, got {lam!r}\n"
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +376,92 @@ def test_recover_reports_malformed_fields_in_one_line(tn_session, tmp_path, caps
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# tamper guard: any damage to a session ends in one error line or the secret
+
+@pytest.fixture(scope="module")
+def nn_session(tmp_path_factory):
+    session = tmp_path_factory.mktemp("nn") / "s"
+    code = main(["deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",
+                 "--seed", "14", "--session-dir", str(session)])
+    assert code == 0
+    return session
+
+
+def _session_files(n):
+    return (["manifest"] + [f"secure/participant-{j}.grp" for j in range(1, n + 1)]
+            + [f"open/bundle-{j}.txt" for j in range(1, n + 1)])
+
+
+def _truncate(draw, session, n):
+    path = session / draw(st.sampled_from(_session_files(n)))
+    data = path.read_bytes()
+    path.write_bytes(data[: draw(st.integers(0, len(data) - 1))])
+
+
+def _delete_manifest_line(draw, session, n):
+    lines = (session / "manifest").read_text().splitlines(True)
+    del lines[draw(st.integers(0, len(lines) - 1))]
+    (session / "manifest").write_text("".join(lines))
+
+
+def _swap_participants(draw, session, n):
+    pattern = draw(st.sampled_from(["open/bundle-{}.txt", "secure/participant-{}.grp"]))
+    i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    a, b = session / pattern.format(i), session / pattern.format(j)
+    data = a.read_bytes()
+    a.write_bytes(b.read_bytes())
+    b.write_bytes(data)
+
+
+def _flip_letter(draw, session, n):
+    path = session / f"open/bundle-{draw(st.integers(1, n))}.txt"
+    lines = path.read_text().splitlines()
+    row = draw(st.integers(1, len(lines) - 1))
+    tag, *tokens = lines[row].split()
+    if not tokens:
+        return
+    at = draw(st.integers(0, len(tokens) - 1))
+    letters = [f"x{i}{s}" for i in (1, 2, 3) for s in ("", "^-1")]
+    tokens[at] = draw(st.sampled_from([t for t in letters if t != tokens[at]]))
+    lines[row] = " ".join([tag, *tokens])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _change_header_value(draw, session, n):
+    manifest = session / "manifest"
+    text = manifest.read_text()
+    keys = [line.split()[0] for line in text.splitlines() if not line.startswith("hmac-")]
+    key = draw(st.sampled_from(keys))
+    value = draw(st.one_of(st.integers(-2, 9000).map(str),
+                           st.sampled_from(["nn", "tn", "", "3.0", " 3", "0x3"])))
+    manifest.write_text(_set_value(key, value)(text))
+
+
+@pytest.mark.parametrize("mode", ["nn", "tn"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tampered_session_fails_in_one_line_or_recovers(nn_session, tn_session, mode, data):
+    source, n, secret = (nn_session, 3, "c0ffee") if mode == "nn" else (tn_session, 5, "4242")
+    tamper = data.draw(st.sampled_from([_truncate, _delete_manifest_line, _swap_participants,
+                                        _flip_letter, _change_header_value]))
+    with tempfile.TemporaryDirectory() as scratch:
+        session = Path(scratch) / "s"
+        shutil.copytree(source, session, ignore=shutil.ignore_patterns("transcripts"))
+        tamper(data.draw, session, n)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["recover", "--session-dir", str(session),
+                         "--participants", ",".join(map(str, range(1, n + 1)))])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out == f"{secret}\n" and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_tn_bad_participant_list(tn_session, capsys):

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from groupshare.freegroup import (
     Alphabet,
     Word,
-    concat,
     conjugate,
     cyclic_permutations,
     cyclically_reduce,
-    invert,
     parse_word,
     random_reduced_word,
-    reduce,
     serialize_word,
 )
 
@@ -49,9 +46,9 @@ def test_alphabet_requires_positive_rank():
 
 
 def test_reduce_examples():
-    assert reduce(A2, [1, -1]).letters == ()
-    assert reduce(A3, [1, 2, -2, 3]).letters == (1, 3)
-    assert reduce(A2, [1, 2, -1]).letters == (1, 2, -1)
+    assert Word(A2, [1, -1]).letters == ()
+    assert Word(A3, [1, 2, -2, 3]).letters == (1, 3)
+    assert Word(A2, [1, 2, -1]).letters == (1, 2, -1)
 
 
 def test_reduce_rejects_out_of_range_letters():
@@ -75,29 +72,29 @@ def test_reduce_idempotent(case):
 
 
 def test_invert_examples():
-    assert invert(Word(A2, [1, 2])).letters == (-2, -1)
-    assert invert(Word(A2, [])).letters == ()
-    assert invert(Word(A2, [-1])).letters == (1,)
+    assert Word(A2, [1, 2]).inverse().letters == (-2, -1)
+    assert Word(A2, []).inverse().letters == ()
+    assert Word(A2, [-1]).inverse().letters == (1,)
 
 
 @given(raw_words())
 def test_word_times_inverse_is_identity(case):
     alphabet, letters = case
     w = Word(alphabet, letters)
-    assert not concat(w, invert(w))
-    assert not concat(invert(w), w)
+    assert not w * w.inverse()
+    assert not w.inverse() * w
 
 
 def test_concat_examples():
-    assert concat(Word(A3, [1, 2]), Word(A3, [-2, 3])).letters == (1, 3)
+    assert (Word(A3, [1, 2]) * Word(A3, [-2, 3])).letters == (1, 3)
     w = Word(A3, [1, -3, 2])
-    assert concat(w, Word(A3, [])) == w
-    assert not concat(Word(A3, [1]), Word(A3, [-1]))
+    assert w * Word(A3, []) == w
+    assert not Word(A3, [1]) * Word(A3, [-1])
 
 
 def test_concat_rejects_alphabet_mismatch():
     with pytest.raises(ValueError):
-        concat(Word(A2, [1]), Word(A3, [1]))
+        Word(A2, [1]) * Word(A3, [1])
     with pytest.raises(ValueError):
         conjugate(Word(A2, [1]), Word(A3, [1]))
 

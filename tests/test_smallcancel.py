@@ -8,9 +8,7 @@ from groupshare.errors import BudgetExhausted
 from groupshare.freegroup import (
     Alphabet,
     Word,
-    concat,
     conjugate,
-    invert,
     parse_word,
     random_reduced_word,
     serialize_word,
@@ -25,7 +23,6 @@ from groupshare.smallcancel import (
     make_nontrivial_word,
     make_trivial_word,
     make_trivial_word_certified,
-    max_piece,
     parse_presentation,
     random_platform_group,
     serialize_presentation,
@@ -103,12 +100,12 @@ def test_parse_presentation_rejects_bad_input(text):
 
 def test_symmetrize_two_letter_relator():
     s = symmetrize([Word(A2, [1, 2])])
-    assert {m.letters for m in s.members} == {(1, 2), (2, 1), (-2, -1), (-1, -2)}
+    assert {m.letters for m in s} == {(1, 2), (2, 1), (-2, -1), (-1, -2)}
 
 
 def test_symmetrize_power_relator():
     s = symmetrize([power(A1, 1, 7)])
-    assert {m.letters for m in s.members} == {(1,) * 7, (-1,) * 7}
+    assert {m.letters for m in s} == {(1,) * 7, (-1,) * 7}
 
 
 def test_symmetrize_worked_pair_size_matches_oracle():
@@ -117,16 +114,16 @@ def test_symmetrize_worked_pair_size_matches_oracle():
     expected = orbit(r1.letters) | orbit(r2.letters)
     assert len(expected) == 20
     s = symmetrize([r1, r2])
-    assert {m.letters for m in s.members} == expected
+    assert {m.letters for m in s} == expected
 
 
 def test_symmetrize_idempotent_and_closed():
     s = symmetrize([parse_word("x1 x2 x1 x3^-1", A3)])
-    again = symmetrize(s.members)
-    assert set(again.members) == set(s.members)
-    for m in s.members:
+    again = symmetrize(s)
+    assert set(again) == set(s)
+    for m in s:
         assert m.is_cyclically_reduced()
-        assert invert(m) in s.members
+        assert m.inverse() in s
 
 
 def test_symmetrize_rejects_empty():
@@ -136,34 +133,53 @@ def test_symmetrize_rejects_empty():
         symmetrize([Word(A2, [1, -1])])
 
 
-def test_max_piece_power_relator_has_none():
-    report = max_piece(symmetrize([power(A1, 1, 7)]))
-    assert len(report.piece) == 0
-    assert report.witness is None
-
-
-def test_max_piece_shared_first_letter():
-    report = max_piece(symmetrize([Word(A3, [1, 2]), Word(A3, [1, 3])]))
-    assert report.piece.letters == (1,)
-    assert report.witness is not None
-
-
-def brute_force_longest_common_prefix(s):
-    best = 0
-    for a, b in combinations([m.chars for m in s.members], 2):
+def brute_force_piece_ratio(relators):
+    """Largest |piece| / |member| over every pair of distinct members of the
+    closure built by the independent ``orbit`` oracle."""
+    members = set().union(*(orbit(r.letters) for r in relators))
+    best = Fraction(0)
+    for a, b in combinations(members, 2):
         common = 0
         while common < min(len(a), len(b)) and a[common] == b[common]:
             common += 1
-        best = max(best, common)
+        best = max(best, Fraction(common, len(a)), Fraction(common, len(b)))
     return best
 
 
-def test_max_piece_matches_brute_force_on_worked_pair():
-    s = symmetrize([parse_word("x1 x1 x2 x2 x2", A3), parse_word("x1 x2 x2 x1^-1 x3", A3)])
-    assert len(max_piece(s).piece) == brute_force_longest_common_prefix(s)
+def check_piece_scan(p):
+    """``check_small_cancellation`` against the brute-force oracle; the
+    witness piece opens the witness relator and one other member."""
+    report = check_small_cancellation(p, SIXTH)
+    assert report.max_piece_ratio == brute_force_piece_ratio(p.relators)
+    if report.witness is None:
+        assert report.max_piece_ratio == 0
+        return report
+    piece, relator = report.witness
+    assert relator.letters[: len(piece)] == piece.letters
+    assert Fraction(len(piece), len(relator)) == report.max_piece_ratio
+    members = symmetrize(p.relators)
+    assert relator in members
+    assert any(m != relator and m.letters[: len(piece)] == piece.letters for m in members)
+    return report
 
 
-def test_max_piece_matches_brute_force_on_random_sets():
+def test_piece_scan_power_relator_has_none():
+    report = check_piece_scan(Presentation(A1, (power(A1, 1, 7),)))
+    assert report.max_piece_ratio == 0 and report.witness is None
+
+
+def test_piece_scan_shared_first_letter():
+    report = check_piece_scan(Presentation(A3, (Word(A3, [1, 2]), Word(A3, [1, 3]))))
+    assert report.max_piece_ratio == Fraction(1, 2)
+    assert len(report.witness[0]) == 1
+
+
+def test_piece_scan_matches_brute_force_on_worked_pair():
+    check_piece_scan(Presentation(A3, (parse_word("x1 x1 x2 x2 x2", A3),
+                                       parse_word("x1 x2 x2 x1^-1 x3", A3))))
+
+
+def test_piece_scan_matches_brute_force_on_random_sets():
     rng = Random(5)
     for _ in range(20):
         words = []
@@ -171,8 +187,7 @@ def test_max_piece_matches_brute_force_on_random_sets():
             w = random_reduced_word(rng.randrange(7, 16), A3, rng)
             if w.is_cyclically_reduced():
                 words.append(w)
-        s = symmetrize(words)
-        assert len(max_piece(s).piece) == brute_force_longest_common_prefix(s)
+        check_piece_scan(Presentation(A3, tuple(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +334,7 @@ def test_trace_steps_replay_and_shrink(platform_group):
             new = Word(platform_group.alphabet, rebuilt)
             assert len(new) < len(current)
             # the replaced prefix together with the inverted replacement is a relator
-            assert concat(step.replaced, invert(step.replacement)) == step.relator
+            assert step.replaced * step.replacement.inverse() == step.relator
             current = new
         assert current == trace.final_word
 
@@ -339,7 +354,7 @@ def naive_dehn(p, w):
     left and every symmetrized member in canonical order, take the leftmost
     position where some member matches more than half of itself, and there
     the longest match, the first member winning a tie."""
-    members = [(r, r.letters) for r in symmetrize(p.relators).members] if p.relators else []
+    members = [(r, r.letters) for r in symmetrize(p.relators, p.alphabet)]
     current = w
     steps = []
     while True:
@@ -358,7 +373,7 @@ def naive_dehn(p, w):
             return DehnTrace(tuple(steps), current, not current)
         pos, n, r = best
         replaced = Word(p.alphabet, r.letters[:n])
-        replacement = invert(Word(p.alphabet, r.letters[n:]))
+        replacement = Word(p.alphabet, r.letters[n:]).inverse()
         steps.append(DehnStep(pos, replaced, replacement, r))
         current = Word(p.alphabet, letters[:pos] + replacement.letters + letters[pos + n :])
 
@@ -406,8 +421,8 @@ def test_dehn_matches_naive_scan_with_several_thresholds():
             for _ in range(rng.randrange(1, 9)):
                 r = relators[rng.randrange(3)]
                 h = random_reduced_word(rng.randrange(0, 3), A2, rng)
-                w = concat(w, conjugate(r if rng.randrange(2) else invert(r), h))
-                w = concat(w, random_reduced_word(rng.randrange(0, 3), A2, rng))
+                w = w * conjugate(r if rng.randrange(2) else r.inverse(), h)
+                w = w * random_reduced_word(rng.randrange(0, 3), A2, rng)
             assert dehn_is_trivial(p, w) == naive_dehn(p, w)
 
 
@@ -431,7 +446,7 @@ def test_dehn_breaks_ties_by_canonical_member_order():
 def test_trivial_word_single_bare_factor_is_a_relator(platform_group):
     rng = Random(41)
     symmetric = {r for r in platform_group.relators} | {
-        invert(r) for r in platform_group.relators
+        r.inverse() for r in platform_group.relators
     }
     for _ in range(10):
         w = make_trivial_word(platform_group, 1, 0, rng)
@@ -453,8 +468,7 @@ def test_trivial_word_certificate_recomputes(platform_group):
         rebuilt = Word(platform_group.alphabet, [])
         for idx, sign, h in certificate:
             r = platform_group.relators[idx]
-            factor = conjugate(r if sign > 0 else invert(r), h)
-            rebuilt = concat(rebuilt, factor)
+            rebuilt = rebuilt * conjugate(r if sign > 0 else r.inverse(), h)
         assert rebuilt == w
         assert dehn_is_trivial(platform_group, w).is_trivial
 
@@ -481,7 +495,7 @@ def test_nontrivial_word_verdict_and_parity(platform_group):
 def test_nontrivial_word_bare_factor_is_one_letter_off_a_relator(platform_group):
     rng = Random(59)
     symmetric = {r for r in platform_group.relators} | {
-        invert(r) for r in platform_group.relators
+        r.inverse() for r in platform_group.relators
     }
     for _ in range(20):
         w = make_nontrivial_word(platform_group, 1, 0, rng)

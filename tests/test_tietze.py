@@ -6,10 +6,8 @@ import pytest
 from groupshare.freegroup import (
     Alphabet,
     Word,
-    concat,
     cyclic_permutations,
     cyclically_reduce,
-    invert,
     parse_word,
     random_reduced_word,
     serialize_word,
@@ -194,10 +192,10 @@ def test_t4_all_product_variants():
     p = Presentation(A3, (parse_word("x1 x2", A3), parse_word("x3 x2", A3)))
     r0, r1 = p.relators
     expected = {
-        "r_i r_j": concat(r0, r1),
-        "r_i r_j^-1": concat(r0, invert(r1)),
-        "r_j r_i": concat(r1, r0),
-        "r_j r_i^-1": concat(r1, invert(r0)),
+        "r_i r_j": r0 * r1,
+        "r_i r_j^-1": r0 * r1.inverse(),
+        "r_j r_i": r1 * r0,
+        "r_j r_i^-1": r1 * r0.inverse(),
     }
     for variant, word in expected.items():
         q = apply_t4prime(p, T4Replace(0, variant, other=1))
@@ -348,7 +346,7 @@ def conjugator_linking(expanded, original):
             c = Word(
                 original.alphabet, prefix + [-l for l in reversed(base[:k])]
             )
-            check = concat(concat(c, original), invert(c))
+            check = c * original * c.inverse()
             assert check == expanded
             return c
     raise AssertionError("expansion is not conjugate to the original relator")
@@ -367,7 +365,7 @@ def test_trivial_word_transport_through_breakdown():
         w, certificate = make_trivial_word_certified(p, 3, 4, rng)
         rebuilt = Word(p.alphabet, [])
         for idx, sign, h in certificate:
-            body = expanded[idx] if sign > 0 else invert(expanded[idx])
-            d = concat(links[idx], h)
-            rebuilt = concat(rebuilt, concat(concat(invert(d), body), d))
+            body = expanded[idx] if sign > 0 else expanded[idx].inverse()
+            d = links[idx] * h
+            rebuilt = rebuilt * (d.inverse() * body * d)
         assert rebuilt == w
