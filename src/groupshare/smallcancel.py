@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, count
 from random import Random
 from typing import Iterable
@@ -65,6 +65,17 @@ class Presentation:
                 raise ValueError("relator must be nonempty")
             if not r.is_cyclically_reduced():
                 raise ValueError(f"relator {r!r} is not cyclically reduced")
+
+    # Dehn decoding looks the presentation up in a cache once per word, so
+    # the hash is worked out once, on first use: the presentations that
+    # Tietze moves build one per move are never hashed.  Equality still
+    # compares the fields.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alphabet, self.relators))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

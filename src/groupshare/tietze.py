@@ -6,12 +6,19 @@ relator-breaking procedure that rewrites any presentation into one whose
 relators all have length at most 3.  Long relators leak structure through
 the over-half subwords that trivial words must contain; after breaking,
 every relator is too short to be distinctive.
+
+Breaking works on packed relator strings and writes the equivalent list
+of elementary moves as a by-product; :func:`replay` applies such a list
+move by move and is the check that the rewrite is an isomorphism.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from functools import cache, partial
+from operator import add
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .freegroup import (
     Alphabet,
@@ -117,7 +124,8 @@ class BreakdownResult:
 
     ``definitions`` maps each introduced generator index to its defining
     word over strictly earlier generators, in introduction order;
-    ``moves`` replays the whole rewrite from the input presentation.
+    ``moves`` is the whole rewrite as elementary moves, which
+    :func:`replay` takes from the input presentation to ``presentation``.
     """
 
     presentation: Presentation
@@ -286,114 +294,30 @@ def replay(p: Presentation, moves: Iterable[TietzeMove]) -> Presentation:
 # ---------------------------------------------------------------------------
 # breaking relators down to length <= 3
 
-class _Breaker:
-    """Drives break_relators through the public move operations, so the
-    recorded move list replays to the output by construction."""
-
-    def __init__(self, p: Presentation):
-        self.current = p
-        self.moves: list[TietzeMove] = []
-        self.definitions: dict[int, Word] = {}
-        self.pair_generator: dict[str, int] = {}  # defining two chars -> generator
-        self.definition_index: dict[int, int] = {}  # generator -> relator index of g^-1 a b
-
-    def apply(self, move: TietzeMove) -> None:
-        self.current = apply_move(self.current, move)
-        self.moves.append(move)
-
-    def rotate_left(self, idx: int) -> None:
-        first = self.current.relators[idx].letters[0]
-        if first > 0:
-            self.apply(T4Replace(idx, "x^-1 r_i x", generator=first))
-        else:
-            self.apply(T4Replace(idx, "x r_i x^-1", generator=-first))
-
-    def rotate_right(self, idx: int) -> None:
-        last = self.current.relators[idx].letters[-1]
-        if last > 0:
-            self.apply(T4Replace(idx, "x r_i x^-1", generator=last))
-        else:
-            self.apply(T4Replace(idx, "x^-1 r_i x", generator=-last))
-
-    def define_pair(self, pair: str) -> int:
-        """Introduce g := a b for the two-letter word ``pair``; the new
-        defining relator is normalized to the g^-1 a b form."""
-        definition = _from_chars(self.current.alphabet, pair)
-        self.apply(T1Intro(definition))
-        g = self.current.alphabet.rank
-        q_idx = len(self.current.relators) - 1
-        self.apply(T4Replace(q_idx, "r_i^-1"))
-        self.apply(T4Replace(q_idx, "x^-1 r_i x", generator=g))
-        self.definitions[g] = _from_chars(Alphabet(g - 1), pair)
-        self.pair_generator[pair] = g
-        self.definition_index[g] = q_idx
-        return g
-
-    def replace_occurrence(self, idx: int, pos: int, g: int, inverse: bool) -> None:
-        """Rewrite one occurrence of the defining pair of g (or its inverse)
-        inside relator idx, entirely through T4' moves.
-
-        The relator is rotated so the occurrence leads, premultiplied by a
-        conjugated form of the defining relator q = g^-1 a b (which absorbs
-        the pair into g or g^-1), and rotated back; q is restored afterwards.
-        """
-        q_idx = self.definition_index[g]
-        for _ in range(pos):
-            self.rotate_left(idx)
-        if inverse:
-            # occurrence is b^-1 a^-1; q itself starts g^-1 a b, so q * r
-            # rewrites the head to g^-1 with no massaging needed.
-            self.apply(T4Replace(idx, "r_j r_i", other=q_idx))
-        else:
-            # massage q into g b^-1 a^-1, multiply, then restore q
-            self.apply(T4Replace(q_idx, "r_i^-1"))
-            self.apply(T4Replace(q_idx, "x r_i x^-1", generator=g))
-            self.apply(T4Replace(idx, "r_j r_i", other=q_idx))
-            self.apply(T4Replace(q_idx, "x^-1 r_i x", generator=g))
-            self.apply(T4Replace(q_idx, "r_i^-1"))
-        for _ in range(pos):
-            self.rotate_right(idx)
-
-    def absorb_pair_everywhere(self, g: int, pair: str) -> None:
-        """Replace the defining pair of g (and its inverse) wherever it
-        occurs in relators of length >= 4, leftmost occurrence first."""
-        inverse_pair = _invert_chars(pair)
-        progress = True
-        while progress:
-            progress = False
-            for idx, relator in enumerate(self.current.relators):
-                if len(relator.chars) < 4:
-                    continue
-                direct = relator.chars.find(pair)
-                inverted = relator.chars.find(inverse_pair)
-                options = [
-                    (where, inv)
-                    for where, inv in ((direct, False), (inverted, True))
-                    if where >= 0
-                ]
-                if not options:
-                    continue
-                pos, inv = min(options)
-                self.replace_occurrence(idx, pos, g, inv)
-                progress = True
-                break
+def _rotation(idx: int, back: bool, letter: str) -> T4Replace:
+    """The T4' move that rotates relator idx left past its first letter,
+    ``letter``, or with ``back`` right past its last: conjugation by that
+    letter's generator, x^-1 r x or x r x^-1.  Rotating right past a letter
+    is the move that rotates left past its inverse."""
+    code = ord(letter) ^ back
+    return T4Replace(idx, "x r_i x^-1" if code & 1 else "x^-1 r_i x", generator=code >> 1)
 
 
-def _most_frequent_pair(relators: Sequence[Word]) -> str:
+def _pair_class(pair: str) -> str:
+    """A pair's class up to inversion: the lesser of it and its inverse."""
+    return min(pair, _invert_chars(pair))
+
+
+def _most_frequent_pair(relators: Sequence[str], classes: Callable[[str], str]) -> str:
     """Adjacent pair class (up to inversion) with the most occurrences in
-    overlong relators; ties go to the class seen first."""
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for r in relators:
-        s = r.chars
-        if len(s) < 4:
-            continue
-        for i in range(len(s) - 1):
-            pair = s[i : i + 2]
-            canon = min(pair, _invert_chars(pair))
-            counts[canon] = counts.get(canon, 0) + 1
-            first_seen.setdefault(canon, len(first_seen))
-    return max(counts, key=lambda c: (counts[c], -first_seen[c]))
+    overlong packed relators; ties go to the class seen first.  ``classes``
+    is :func:`_pair_class`, memoised."""
+    counts: Counter[str] = Counter()
+    for s in relators:
+        if len(s) >= 4:
+            counts.update(map(classes, map(add, s, s[1:])))
+    # counts is in first-seen order, and max keeps the first of equals
+    return max(counts, key=counts.__getitem__)
 
 
 def break_relators(p: Presentation) -> BreakdownResult:
@@ -401,26 +325,76 @@ def break_relators(p: Presentation) -> BreakdownResult:
     length at most 3.
 
     While some relator is overlong (length >= 4), the most frequent
-    adjacent letter pair x_i x_j across overlong relators gets a generator
-    g = x_i x_j (introduced with defining relator g^-1 x_i x_j, or reused
-    when that pair or its inverse was defined before), and every occurrence
-    of the pair is absorbed into g, shortening the relator by one letter
-    per occurrence.  Choosing the most frequent pair and reusing
-    definitions keeps the total length of the output close to the input
-    total; relators already of length <= 3 pass through untouched.
+    adjacent letter pair x_i x_j across overlong relators gets a new
+    generator g = x_i x_j with defining relator g^-1 x_i x_j, and every
+    occurrence of the pair (or of its inverse) in an overlong relator is
+    absorbed into g (or g^-1), leftmost first, shortening the relator by
+    one letter per occurrence.  Choosing the most frequent pair keeps the
+    total length of the output close to the input total; relators already
+    of length <= 3 pass through untouched.
+
+    The rewrite splices packed relator strings, and nothing cancels: g next
+    to g^-1 would mean that the input held x_i x_j x_j^-1 x_i^-1 or its
+    inverse, which a cyclically reduced relator does not.  Every new
+    adjacency holds the newest letter, so an absorbed pair never reappears
+    in an overlong relator, and every round defines a fresh generator.
+    ``moves`` is written alongside, as the T1 and T4' moves
+    that carry out each splice: the relator is rotated left past the
+    letters before the occurrence, multiplied on the left by a conjugate of
+    the defining relator, and rotated back.  It is a by-product, not what
+    the output is computed from; the tests replay it to the output as the
+    isomorphism certificate.
     """
-    breaker = _Breaker(p)
-    while any(len(r.chars) >= 4 for r in breaker.current.relators):
-        canon = _most_frequent_pair(breaker.current.relators)
-        for pair in (canon, _invert_chars(canon)):
-            g = breaker.pair_generator.get(pair)
-            if g is not None:
-                break
-        else:
-            pair = canon
-            g = breaker.define_pair(pair)
-        breaker.absorb_pair_everywhere(g, pair)
-    return BreakdownResult(breaker.current, breaker.definitions, tuple(breaker.moves))
+    relators = [r.chars for r in p.relators]  # rewritten in place
+    defining: list[str] = []  # g^-1 a b per generator, appended after them
+    rank = p.alphabet.rank
+    moves: list[TietzeMove] = []
+    definitions: dict[int, Word] = {}
+    # Memoised per call, so that map() over them runs at C speed: moves
+    # are values, so each rotation is built once.
+    classes = cache(_pair_class)
+    rotations = [
+        (cache(partial(_rotation, idx, False)), cache(partial(_rotation, idx, True)))
+        for idx in range(len(relators))
+    ]
+    while max(map(len, relators), default=0) >= 4:
+        pair = _most_frequent_pair(relators, classes)
+        # T1 appends g b^-1 a^-1; inverting it and conjugating by g gives
+        # the defining relator q = g^-1 a b
+        definition = _from_chars(Alphabet(rank), pair)
+        rank = g = rank + 1
+        q = len(relators) + len(defining)
+        defining.append(chr(2 * g + 1) + pair)
+        definitions[g] = definition
+        invert = T4Replace(q, "r_i^-1")
+        conjugate_by_g = T4Replace(q, "x^-1 r_i x", generator=g)
+        moves += (T1Intro(definition), invert, conjugate_by_g)
+        # q r turns a leading b^-1 a^-1 into g^-1; turned into g b^-1 a^-1
+        # for the product and back, q turns a leading a b into g
+        turn = [invert, T4Replace(q, "x r_i x^-1", generator=g)]
+        unturn = [conjugate_by_g, invert]
+        inverse_pair = _invert_chars(pair)
+        for idx, (left, right) in enumerate(rotations):
+            r = relators[idx]
+            while len(r) >= 4:
+                direct, inverted = r.find(pair), r.find(inverse_pair)
+                # leftmost first, the pair before its inverse at one place
+                # (which cannot happen: a reduced pair is not its inverse)
+                if direct >= 0 and (inverted < 0 or direct <= inverted):
+                    pos, head = direct, chr(2 * g)
+                    product = [*turn, T4Replace(idx, "r_j r_i", other=q), *unturn]
+                elif inverted >= 0:
+                    pos, head = inverted, chr(2 * g + 1)
+                    product = [T4Replace(idx, "r_j r_i", other=q)]
+                else:
+                    break
+                moves += map(left, r[:pos])
+                moves += product
+                moves += map(right, reversed(r[:pos]))
+                r = relators[idx] = r[:pos] + head + r[pos + 2 :]
+    alphabet = Alphabet(rank)
+    out = tuple(_from_chars(alphabet, r) for r in relators + defining)
+    return BreakdownResult(Presentation(alphabet, out), definitions, tuple(moves))
 
 
 def expand_word(

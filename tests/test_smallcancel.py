@@ -13,8 +13,9 @@ from groupshare.freegroup import (
     random_reduced_word,
     serialize_word,
 )
-from groupshare.scheme import WordParams, encode_column
+from groupshare.scheme import WordParams, decode_column, encode_column
 from groupshare.smallcancel import (
+    _dehn_index,
     DehnStep,
     DehnTrace,
     Presentation,
@@ -67,6 +68,43 @@ def test_presentation_text_round_trip():
     text = serialize_presentation(p)
     assert text == "generators 3\nrelator x1 x2 x3\nrelator x2 x2\n"
     assert parse_presentation(text) == p
+
+
+def test_equal_presentations_hash_and_compare_equal():
+    text = "generators 3\nrelator x1 x2 x3 x1^-1 x2\nrelator x2 x2 x3\n"
+    a, b = parse_presentation(text), parse_presentation(text)
+    assert a is not b and a.relators[0] is not b.relators[0]
+    assert a == b and hash(a) == hash(b)
+    built = Presentation(A3, tuple(Word(A3, r.letters) for r in a.relators))
+    assert built == a and hash(built) == hash(a)
+    other = Presentation(A3, (a.relators[0], parse_word("x2 x2 x3^-1", A3)))
+    assert other != a
+    assert len({a, b, built, other}) == 2
+
+
+def test_presentation_hash_is_computed_once(monkeypatch):
+    p = parse_presentation("generators 2\nrelator x1 x2 x1 x2 x2\n")
+    expected = hash(p)
+    calls = []
+    word_hash = Word.__hash__
+    monkeypatch.setattr(Word, "__hash__", lambda w: calls.append(w) or word_hash(w))
+    assert [hash(p) for _ in range(3)] == [expected] * 3
+    assert calls == []
+
+
+def test_decoding_a_column_builds_one_dehn_index(platform_group):
+    rng = Random(5)
+    bits = [rng.randrange(2) for _ in range(16)]
+    column = encode_column(bits, platform_group, WordParams(), rng)
+    _dehn_index.cache_clear()
+    assert decode_column(column, platform_group) == tuple(bits)
+    info = _dehn_index.cache_info()
+    assert (info.misses, info.hits) == (1, len(bits) - 1)
+    # an equal presentation parsed afresh finds the same index
+    again = parse_presentation(serialize_presentation(platform_group))
+    assert decode_column(column, again) == tuple(bits)
+    info = _dehn_index.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(bits) - 1)
 
 
 def test_parse_presentation_accepts_comments_and_blanks():

@@ -2,6 +2,8 @@ from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshare.freegroup import (
     Alphabet,
@@ -18,7 +20,9 @@ from groupshare.tietze import (
     BreakdownResult,
     InvertGenerator,
     RightMultiplyGenerator,
+    T1Intro,
     T4Replace,
+    apply_move,
     apply_t1,
     apply_t2,
     apply_t3,
@@ -297,6 +301,169 @@ def test_breakdown_serialization():
     text = serialize_breakdown(result)
     assert text.startswith("generators 2\n")
     assert "define x2 := x1 x1" in text
+
+
+# ---------------------------------------------------------------------------
+# break_relators against a move-by-move reference
+
+def pair_key(pair):
+    """Packed-code order of a letter pair: x_i before x_i^-1 before x_(i+1)."""
+    return tuple(2 * abs(letter) + (letter < 0) for letter in pair)
+
+
+def inverse_pair(pair):
+    return (-pair[1], -pair[0])
+
+
+def find_pair(letters, pair):
+    for i in range(len(letters) - 1):
+        if letters[i : i + 2] == pair:
+            return i
+    return -1
+
+
+class ReferenceBreaker:
+    """The greedy pair absorption, driven through apply_move one move at a
+    time over letter tuples, so every intermediate presentation is rebuilt
+    and validated."""
+
+    def __init__(self, p):
+        self.current = p
+        self.moves = []
+        self.definitions = {}
+        self.pair_generator = {}  # defining letter pair -> generator
+        self.definition_index = {}  # generator -> relator index of g^-1 a b
+
+    def apply(self, move):
+        self.current = apply_move(self.current, move)
+        self.moves.append(move)
+
+    def rotate_left(self, idx):
+        first = self.current.relators[idx].letters[0]
+        if first > 0:
+            self.apply(T4Replace(idx, "x^-1 r_i x", generator=first))
+        else:
+            self.apply(T4Replace(idx, "x r_i x^-1", generator=-first))
+
+    def rotate_right(self, idx):
+        last = self.current.relators[idx].letters[-1]
+        if last > 0:
+            self.apply(T4Replace(idx, "x r_i x^-1", generator=last))
+        else:
+            self.apply(T4Replace(idx, "x^-1 r_i x", generator=-last))
+
+    def define_pair(self, pair):
+        definition = Word(self.current.alphabet, pair)
+        self.apply(T1Intro(definition))
+        g = self.current.alphabet.rank
+        q_idx = len(self.current.relators) - 1
+        self.apply(T4Replace(q_idx, "r_i^-1"))
+        self.apply(T4Replace(q_idx, "x^-1 r_i x", generator=g))
+        self.definitions[g] = Word(Alphabet(g - 1), pair)
+        self.pair_generator[pair] = g
+        self.definition_index[g] = q_idx
+        return g
+
+    def replace_occurrence(self, idx, pos, g, inverse):
+        q_idx = self.definition_index[g]
+        for _ in range(pos):
+            self.rotate_left(idx)
+        if inverse:
+            self.apply(T4Replace(idx, "r_j r_i", other=q_idx))
+        else:
+            self.apply(T4Replace(q_idx, "r_i^-1"))
+            self.apply(T4Replace(q_idx, "x r_i x^-1", generator=g))
+            self.apply(T4Replace(idx, "r_j r_i", other=q_idx))
+            self.apply(T4Replace(q_idx, "x^-1 r_i x", generator=g))
+            self.apply(T4Replace(q_idx, "r_i^-1"))
+        for _ in range(pos):
+            self.rotate_right(idx)
+
+    def absorb_pair_everywhere(self, g, pair):
+        progress = True
+        while progress:
+            progress = False
+            for idx, relator in enumerate(self.current.relators):
+                letters = relator.letters
+                if len(letters) < 4:
+                    continue
+                direct = find_pair(letters, pair)
+                inverted = find_pair(letters, inverse_pair(pair))
+                options = [
+                    (where, inv)
+                    for where, inv in ((direct, False), (inverted, True))
+                    if where >= 0
+                ]
+                if options:
+                    pos, inv = min(options)
+                    self.replace_occurrence(idx, pos, g, inv)
+                    progress = True
+                    break
+
+
+def reference_most_frequent_pair(relators):
+    counts = {}
+    first_seen = {}
+    for r in relators:
+        letters = r.letters
+        if len(letters) < 4:
+            continue
+        for i in range(len(letters) - 1):
+            pair = letters[i : i + 2]
+            canon = min(pair, inverse_pair(pair), key=pair_key)
+            counts[canon] = counts.get(canon, 0) + 1
+            first_seen.setdefault(canon, len(first_seen))
+    return max(counts, key=lambda c: (counts[c], -first_seen[c]))
+
+
+def reference_break(p):
+    breaker = ReferenceBreaker(p)
+    while any(len(r) >= 4 for r in breaker.current.relators):
+        canon = reference_most_frequent_pair(breaker.current.relators)
+        for pair in (canon, inverse_pair(canon)):
+            g = breaker.pair_generator.get(pair)
+            if g is not None:
+                break
+        else:
+            pair = canon
+            g = breaker.define_pair(pair)
+        breaker.absorb_pair_everywhere(g, pair)
+    return BreakdownResult(breaker.current, breaker.definitions, tuple(breaker.moves))
+
+
+@st.composite
+def breakable_presentations(draw):
+    """Ranks 1-4 with 1-4 relators: reduced words of up to 40 letters,
+    powers of one generator, repeats of an earlier relator."""
+    rank = draw(st.integers(1, 4))
+    alphabet = Alphabet(rank)
+    letter = st.integers(-rank, rank).filter(bool)
+    relators = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("word", "power", "repeat")))
+        if kind == "repeat" and relators:
+            relators.append(draw(st.sampled_from(relators)))
+        elif kind == "power":
+            relators.append(power(alphabet, draw(letter), draw(st.integers(1, 12))))
+        else:
+            size = draw(st.integers(1, 40))
+            letters = []
+            for x in draw(st.lists(letter, min_size=size, max_size=size)):
+                letters.append(-x if letters and letters[-1] == -x else x)
+            relators.append(cyclically_reduce(Word(alphabet, letters)))
+    return Presentation(alphabet, tuple(relators))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(breakable_presentations())
+def test_break_matches_move_by_move_reference(p):
+    assert break_relators(p) == reference_break(p)
+
+
+@pytest.mark.parametrize("length", [40, 80, 120])
+def test_break_matches_reference_on_platform_groups(length):
+    p = random_platform_group(3, 3, length, "1/6", Random(length))
+    assert break_relators(p) == reference_break(p)
 
 
 # ---------------------------------------------------------------------------
