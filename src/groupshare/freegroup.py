@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import eq
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -54,29 +53,42 @@ def _letter(ch: str) -> int:
     return code // 2 if code % 2 == 0 else -(code - 1) // 2
 
 
-# The codec runs as ``str.translate`` and dict lookups over tables of the
-# packed codes of every rank up to _TABLE_RANK; the translate tables work
-# out any larger code when it is looked up, and the parser takes its general
-# path.  Platform groups have small rank; only Tietze rewriting goes far
-# beyond it, and serializes little, so a wider table would only add memory
-# to every process (about 160 KB at rank 256).
+# The codec runs as ``str.translate``, ``str.join`` and dict lookups over
+# tables of the packed codes of every rank up to _TABLE_RANK; the lookup
+# tables work out and keep any larger entry the first time it is asked for,
+# and the parser takes its general path.  Platform groups have small rank;
+# only Tietze rewriting goes far beyond it, and serializes little, so a wider
+# table would only add memory to every process (about 160 KB at rank 256).
 _TABLE_RANK = 16
 
 
 class _Table(dict):
-    """``str.translate`` table: code -> ``entry(code)`` for any code."""
+    """Lookup table: key -> ``entry(key)`` for any key, each worked out once."""
 
-    def __init__(self, entry: Callable[[int], int | str]):
-        super().__init__((code, entry(code)) for code in range(2, 2 * _TABLE_RANK + 2))
+    def __init__(self, keys: Iterable, entry: Callable):
+        super().__init__((key, entry(key)) for key in keys)
         self.entry = entry
 
-    def __missing__(self, code: int):
-        return self.entry(code)
+    def __missing__(self, key):
+        value = self[key] = self.entry(key)
+        return value
 
 
-_FLIP = _Table(lambda code: code ^ 1)  # inverse letter
-_SERIALIZE = _Table(lambda code: f"x{code // 2}^-1 " if code % 2 else f"x{code // 2} ")
-_PARSE = {token[:-1]: chr(code) for code, token in _SERIALIZE.items()}
+_CODES = range(2, 2 * _TABLE_RANK + 2)
+_FLIP = _Table(_CODES, lambda code: code ^ 1)  # inverse letter, for str.translate
+_SERIALIZE = _Table(
+    map(chr, _CODES), lambda ch: f"x{ord(ch) // 2}^-1" if ord(ch) % 2 else f"x{ord(ch) // 2}"
+)
+# Indexed by rank r <= _TABLE_RANK: the tokens of that rank, and the 2r
+# two-letter strings that cancel.  A token of a higher generator misses the
+# table, so the parser's general path reports it.
+_PARSE = tuple(
+    (
+        {_SERIALIZE[chr(code)]: chr(code) for code in range(2, 2 * r + 2)},
+        tuple(chr(code) + chr(code ^ 1) for code in range(2, 2 * r + 2)),
+    )
+    for r in range(_TABLE_RANK + 1)
+)
 
 
 def _invert_chars(chars: str) -> str:
@@ -201,24 +213,37 @@ def cyclic_permutations(w: Word) -> frozenset[Word]:
     return frozenset(_from_chars(w.alphabet, s[i:] + s[:i]) for i in range(len(s)))
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random.randrange(n)`` without its argument checks: the same
+    rejection loop over ``getrandbits``, so the same draws.  ``n`` must be
+    at least 1; at 0 the loop would never end."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_chars(length: int, rank: int, getrandbits: Callable[[int], int]) -> str:
+    """Packed uniform non-backtracking word of ``length`` letters."""
+    if not length:
+        return ""
+    codes = [_below(getrandbits, 2 * rank) + 2]
+    for _ in range(length - 1):
+        pick = _below(getrandbits, 2 * rank - 1) + 2
+        if pick >= codes[-1] ^ 1:
+            pick += 1
+        codes.append(pick)
+    return "".join(map(chr, codes))
+
+
 def random_reduced_word(length: int, alphabet: Alphabet, rng: Random) -> Word:
     """Uniform non-backtracking word: first letter uniform over ``2m``
     choices, each later letter uniform over the ``2m - 1`` letters that do
     not cancel the previous one."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    m = alphabet.rank
-    out: list[str] = []
-    if length:
-        first = rng.randrange(2 * m)
-        out.append(chr(first + 2))
-        for _ in range(length - 1):
-            forbidden = ord(out[-1]) ^ 1
-            pick = rng.randrange(2 * m - 1) + 2
-            if pick >= forbidden:
-                pick += 1
-            out.append(chr(pick))
-    return _from_chars(alphabet, "".join(out))
+    return _from_chars(alphabet, _random_chars(length, alphabet.rank, rng.getrandbits))
 
 
 _TOKEN = re.compile(r"x([0-9]+)(\^-1)?\Z")
@@ -242,18 +267,15 @@ def _parse_tokens(tokens: list[str], alphabet: Alphabet) -> Word:
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse ``"x1 x2^-1"`` style text; reduces the result."""
     tokens = text.split()
+    table, pairs = _PARSE[min(alphabet.rank, _TABLE_RANK)]
     try:
-        packed = "".join([_PARSE[token] for token in tokens])
+        packed = "".join(map(table.__getitem__, tokens))
     except KeyError:
         return _parse_tokens(tokens, alphabet)
-    if packed and ord(max(packed)) > 2 * alphabet.rank + 1:
-        return _parse_tokens(tokens, alphabet)
-    # A letter followed by its inverse shows as a letter equal to the
-    # inverse of the one before it; reduce only when one exists.
-    if any(map(eq, packed[1:], packed.translate(_FLIP))):
+    if any(map(packed.__contains__, pairs)):
         packed = _reduce_chars(packed)
     return _from_chars(alphabet, packed)
 
 
 def serialize_word(w: Word) -> str:
-    return w.chars.translate(_SERIALIZE)[:-1]
+    return " ".join(map(_SERIALIZE.__getitem__, w.chars))

@@ -19,12 +19,12 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .freegroup import Word
+from .freegroup import Word, _below
 from .shamir import PrimeModulus, SharePoint, poly_eval, random_polynomial
 from .smallcancel import (
     ONE_SIXTH,
     Presentation,
-    dehn_is_trivial,
+    _dehn_verdict,
     make_nontrivial_word,
     make_trivial_word,
 )
@@ -141,10 +141,13 @@ def encode_column(
     changed for a 0 bit, so lengths and their parity match across bits.
     """
     col = _check_bits(share)
+    getrandbits = rng.getrandbits
+    factor_choices = word_params.max_factors - word_params.min_factors + 1
+    conj_choices = word_params.max_conj - word_params.min_conj + 1
     words = []
     for bit in col:
-        factors = rng.randrange(word_params.min_factors, word_params.max_factors + 1)
-        conj = rng.randrange(word_params.min_conj, word_params.max_conj + 1)
+        factors = word_params.min_factors + _below(getrandbits, factor_choices)
+        conj = word_params.min_conj + _below(getrandbits, conj_choices)
         build = make_trivial_word if bit else make_nontrivial_word
         words.append(build(g, factors, conj, rng))
     return WordColumn(tuple(words), group_hint=group_hint)
@@ -152,7 +155,7 @@ def encode_column(
 
 def decode_column(wc: WordColumn, g: Presentation) -> BitColumn:
     """Read the bits back by solving the word problem entry by entry."""
-    return tuple(int(dehn_is_trivial(g, w).is_trivial) for w in wc.words)
+    return tuple(int(_dehn_verdict(g, w)) for w in wc.words)
 
 
 def recover_secret_nn(columns: Sequence[Sequence[int]]) -> BitColumn:

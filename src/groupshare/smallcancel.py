@@ -21,9 +21,11 @@ from .errors import BudgetExhausted
 from .freegroup import (
     Alphabet,
     Word,
+    _below,
     _from_chars,
     _invert_chars,
     _merge_chars,
+    _random_chars,
     cyclically_reduce,
     parse_word,
     random_reduced_word,
@@ -76,6 +78,11 @@ class Presentation:
 
     def __hash__(self) -> int:
         return self._hash
+
+    # Each relator and its inverse, packed, for word construction.
+    @cached_property
+    def _signed_chars(self) -> tuple[tuple[str, str], ...]:
+        return tuple((r.chars, _invert_chars(r.chars)) for r in self.relators)
 
 
 @dataclass(frozen=True)
@@ -255,36 +262,26 @@ def _dehn_index(p: Presentation) -> _DehnIndex:
     return _DehnIndex(p)
 
 
-def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) -> DehnTrace:
-    """Decide whether ``w`` equals the identity by Dehn reduction.
+def _dehn_scan(index: _DehnIndex, chars: str, steps: list | None = None) -> str:
+    """Dehn-reduce the packed word ``chars`` and return what is left.
 
-    Repeatedly scan the freely reduced current word for a subword u such
-    that some symmetrized relator factors as u * v with |u| > |r| / 2; if
-    one exists, replace u by v^-1 (strictly shorter) and re-reduce.  The
-    word is trivial exactly when it shrinks to the empty word.  Scanning is
-    deterministic: leftmost starting position first, then the longest match
-    there.  Completeness of the verdict relies on the presentation being
-    C'(1/6), which callers assert (pass ``verify_condition=True`` to check).
+    With ``steps``, append one ``(position, matched length, member)`` tuple
+    per replacement: the member's first ``matched length`` letters at
+    ``position`` gave way to the inverse of the rest of it.
     """
-    if w.alphabet != p.alphabet:
-        raise ValueError("word and presentation use different alphabets")
-    if verify_condition and not check_small_cancellation(p, ONE_SIXTH).satisfied:
-        raise ValueError("presentation does not satisfy C'(1/6)")
-    index = _dehn_index(p)
-    chars = w.chars
-    steps: list[DehnStep] = []
-    widest = index.thresholds[-1] if index.thresholds else 0
+    thresholds, tables = index.thresholds, index.tables
+    widest = thresholds[-1] if thresholds else 0
     start = 0
     while True:
         pos = index.leftmost(chars, start)
         if pos < 0:
-            break
+            return chars
         best_len = 0
         best_member = ""
-        for t in index.thresholds:
+        for t in thresholds:
             if pos + t > len(chars):
                 continue
-            bucket = index.tables[t].get(chars[pos : pos + t])
+            bucket = tables[t].get(chars[pos : pos + t])
             if not bucket:
                 continue
             for member in bucket:
@@ -297,15 +294,9 @@ def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) ->
                         length += 1
                 if length > best_len:
                     best_len, best_member = length, member
+        if steps is not None:
+            steps.append((pos, best_len, best_member))
         replacement = _invert_chars(best_member[best_len:])
-        steps.append(
-            DehnStep(
-                position=pos,
-                replaced=_from_chars(p.alphabet, chars[pos : pos + best_len]),
-                replacement=_from_chars(p.alphabet, replacement),
-                relator=_from_chars(p.alphabet, best_member),
-            )
-        )
         rest = chars[pos + best_len :]
         head = _merge_chars(chars[:pos], replacement)
         shorter = _merge_chars(head, rest)
@@ -317,7 +308,46 @@ def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) ->
                    len(head) - (len(head) + len(rest) - len(shorter)) // 2)
         start = max(0, kept - widest + 1)
         chars = shorter
-    return DehnTrace(tuple(steps), _from_chars(p.alphabet, chars), not chars)
+
+
+def _check_alphabet(p: Presentation, w: Word) -> None:
+    if w.alphabet != p.alphabet:
+        raise ValueError("word and presentation use different alphabets")
+
+
+def _dehn_verdict(p: Presentation, w: Word) -> bool:
+    """``dehn_is_trivial(p, w).is_trivial``, with no trace built."""
+    _check_alphabet(p, w)
+    return not _dehn_scan(_dehn_index(p), w.chars)
+
+
+def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) -> DehnTrace:
+    """Decide whether ``w`` equals the identity by Dehn reduction.
+
+    Repeatedly scan the freely reduced current word for a subword u such
+    that some symmetrized relator factors as u * v with |u| > |r| / 2; if
+    one exists, replace u by v^-1 (strictly shorter) and re-reduce.  The
+    word is trivial exactly when it shrinks to the empty word.  Scanning is
+    deterministic: leftmost starting position first, then the longest match
+    there.  Completeness of the verdict relies on the presentation being
+    C'(1/6), which callers assert (pass ``verify_condition=True`` to check).
+    """
+    _check_alphabet(p, w)
+    if verify_condition and not check_small_cancellation(p, ONE_SIXTH).satisfied:
+        raise ValueError("presentation does not satisfy C'(1/6)")
+    found: list[tuple[int, int, str]] = []
+    chars = _dehn_scan(_dehn_index(p), w.chars, found)
+    alphabet = p.alphabet
+    steps = tuple(
+        DehnStep(
+            position=pos,
+            replaced=_from_chars(alphabet, member[:length]),
+            replacement=_from_chars(alphabet, _invert_chars(member[length:])),
+            relator=_from_chars(alphabet, member),
+        )
+        for pos, length, member in found
+    )
+    return DehnTrace(steps, _from_chars(alphabet, chars), not chars)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +356,10 @@ def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) ->
 def _conjugated_product(
     p: Presentation, factor_count: int, conj_length: int, rng: Random, max_attempts: int,
     perturb: bool,
-) -> tuple[Word, tuple[tuple[int, int, Word], ...]]:
+) -> tuple[str, list[tuple[int, int, str]]]:
     """The one word construction behind both bit values: a random nonempty
-    product ``prod h^-1 r^sign h`` of conjugated relators, with its factors.
+    product ``prod h^-1 r^sign h`` of conjugated relators, packed, with its
+    factors (relator index, sign, packed conjugator).
 
     With ``perturb``, one uniformly chosen factor's relator r = u a v has a
     uniformly chosen letter a replaced by a letter b != a that cancels
@@ -342,30 +373,29 @@ def _conjugated_product(
         raise ValueError("conj_length must be nonnegative")
     if not p.relators:
         raise ValueError("presentation has no relators")
-    if perturb and p.alphabet.rank < 2:
+    rank = p.alphabet.rank
+    if perturb and rank < 2:
         raise ValueError("no substitute letter exists over a rank-1 alphabet")
-    codes = [chr(code) for code in range(2, 2 * p.alphabet.rank + 2)]
+    signed = p._signed_chars
+    getrandbits = rng.getrandbits
     for _ in range(max_attempts):
-        altered = rng.randrange(factor_count) if perturb else -1
+        altered = _below(getrandbits, factor_count) if perturb else -1
         acc = ""
         certificate = []
         for i in range(factor_count):
-            idx = rng.randrange(len(p.relators))
-            sign = 1 if rng.randrange(2) == 0 else -1
-            h = random_reduced_word(conj_length, p.alphabet, rng)
-            r = p.relators[idx].chars
-            if sign < 0:
-                r = _invert_chars(r)
+            idx = _below(getrandbits, len(signed))
+            sign = 1 if _below(getrandbits, 2) == 0 else -1
+            h = _random_chars(conj_length, rank, getrandbits)
+            r = signed[idx][sign < 0]
             if i == altered:
-                pos = rng.randrange(len(r))
-                banned = (r[pos], chr(ord(r[pos - 1]) ^ 1), chr(ord(r[(pos + 1) % len(r)]) ^ 1))
-                subs = [c for c in codes if c not in banned]
-                r = r[:pos] + subs[rng.randrange(len(subs))] + r[pos + 1 :]
-            factor = _merge_chars(_merge_chars(_invert_chars(h.chars), r), h.chars)
-            acc = _merge_chars(acc, factor)
+                pos = _below(getrandbits, len(r))
+                banned = (ord(r[pos]), ord(r[pos - 1]) ^ 1, ord(r[(pos + 1) % len(r)]) ^ 1)
+                subs = [code for code in range(2, 2 * rank + 2) if code not in banned]
+                r = r[:pos] + chr(subs[_below(getrandbits, len(subs))]) + r[pos + 1 :]
+            acc = _merge_chars(acc, _merge_chars(_merge_chars(_invert_chars(h), r), h))
             certificate.append((idx, sign, h))
         if acc:
-            return _from_chars(p.alphabet, acc), tuple(certificate)
+            return acc, certificate
     raise BudgetExhausted(
         f"conjugate products collapsed to the identity {max_attempts} times in a row"
     )
@@ -381,7 +411,9 @@ def make_trivial_word_certified(
     """Like :func:`make_trivial_word` but also return the certificate:
     a tuple of (relator index, sign, conjugator) factors whose product
     ``prod h^-1 r^sign h`` reduces to the returned word."""
-    return _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)
+    chars, factors = _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)
+    certificate = tuple((idx, sign, _from_chars(p.alphabet, h)) for idx, sign, h in factors)
+    return _from_chars(p.alphabet, chars), certificate
 
 
 def make_trivial_word(
@@ -392,7 +424,8 @@ def make_trivial_word(
     max_attempts: int = 1000,
 ) -> Word:
     """Random nonempty product of conjugated relators; trivial by construction."""
-    return _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)[0]
+    chars = _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)[0]
+    return _from_chars(p.alphabet, chars)
 
 
 def make_nontrivial_word(
@@ -404,7 +437,8 @@ def make_nontrivial_word(
 ) -> Word:
     """The :func:`make_trivial_word` product with one letter of one relator
     factor changed: never 1 on a C'(1/6) presentation; ValueError at rank 1."""
-    return _conjugated_product(p, factor_count, conj_length, rng, max_attempts, True)[0]
+    chars = _conjugated_product(p, factor_count, conj_length, rng, max_attempts, True)[0]
+    return _from_chars(p.alphabet, chars)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupshare.freegroup import (
+    _FLIP,
+    _SERIALIZE,
     Alphabet,
     Word,
     conjugate,
@@ -177,6 +179,35 @@ def test_random_reduced_word_rejects_negative_length():
         random_reduced_word(-1, A2, Random(0))
 
 
+def randrange_reduced_word(length, alphabet, rng):
+    """The one-``randrange``-per-letter draw whose stream the packed draw
+    keeps: first letter uniform over 2m codes, each later one over the
+    2m - 1 codes that do not cancel the one before."""
+    m = alphabet.rank
+    codes = []
+    if length:
+        codes.append(rng.randrange(2 * m) + 2)
+        for _ in range(length - 1):
+            pick = rng.randrange(2 * m - 1) + 2
+            if pick >= codes[-1] ^ 1:
+                pick += 1
+            codes.append(pick)
+    return Word(alphabet, [c // 2 if c % 2 == 0 else -(c // 2) for c in codes])
+
+
+def test_random_reduced_word_keeps_the_randrange_stream():
+    # the same word and the same generator state afterwards, so every draw
+    # after it in a session is unchanged too
+    ours, theirs = Random(97), Random(97)
+    for rank in range(1, 21):
+        alphabet = Alphabet(rank)
+        for length in range(61):
+            assert random_reduced_word(length, alphabet, ours) == randrange_reduced_word(
+                length, alphabet, theirs
+            )
+            assert ours.getstate() == theirs.getstate()
+
+
 def test_parse_examples():
     assert parse_word("x1 x2^-1", A2).letters == (1, -2)
     assert parse_word("", A2).letters == ()
@@ -239,6 +270,59 @@ def test_codec_beyond_the_table_rank():
     assert parse_word(serialize_word(w), alphabet) == w
     with pytest.raises(ValueError, match="^generator index 3001 outside rank 3000$"):
         parse_word("x1 x3001", alphabet)
+
+
+# the ranks around _TABLE_RANK = 16, where parsing leaves the token table
+BOUNDARY_RANKS = (1, 15, 16, 17, 20)
+
+
+@pytest.mark.parametrize("rank", BOUNDARY_RANKS)
+def test_parse_rejects_the_generator_above_the_rank(rank):
+    alphabet = Alphabet(rank)
+    message = f"^generator index {rank + 1} outside rank {rank}$"
+    for text in (f"x{rank + 1}", f"x1 x{rank + 1}^-1", f"x{rank} x{rank + 1} x1"):
+        with pytest.raises(ValueError, match=message):
+            parse_word(text, alphabet)
+
+
+@pytest.mark.parametrize("rank", BOUNDARY_RANKS)
+def test_parse_reduces_at_every_rank(rank):
+    alphabet = Alphabet(rank)
+    assert parse_word(f"x{rank} x{rank}^-1", alphabet).letters == ()
+    assert parse_word(f"x1 x{rank}^-1 x{rank} x1^-1 x{rank}", alphabet).letters == (rank,)
+    letters = [g * s for g in range(1, rank + 1) for s in (1, -1)]
+    assert parse_word(reference_text(letters), alphabet).letters == ()
+    assert parse_word(reference_text(letters[1:]), alphabet).letters == naive_reduce(letters[1:])
+
+
+@pytest.mark.parametrize("rank", BOUNDARY_RANKS)
+def test_parse_splits_on_any_whitespace(rank):
+    alphabet = Alphabet(rank)
+    text = f"\tx{rank}\nx{rank} \t x1^-1\r\n"
+    assert parse_word(text, alphabet).letters == naive_reduce((rank, rank, -1))
+    assert parse_word(" \t\n", alphabet).letters == ()
+
+
+@pytest.mark.parametrize("rank", BOUNDARY_RANKS + (200,))
+def test_serialize_every_letter_of_the_rank(rank):
+    for sign in (1, -1):
+        letters = [sign * g for g in range(1, rank + 1) for _ in range(2)]
+        assert serialize_word(Word(Alphabet(rank), letters)) == reference_text(letters)
+
+
+def test_codec_tables_work_out_each_entry_once(monkeypatch):
+    worked_out = []
+    for table in (_SERIALIZE, _FLIP):
+        entry = table.entry
+        monkeypatch.setattr(
+            table, "entry", lambda key, entry=entry: worked_out.append(key) or entry(key)
+        )
+    w = Word(Alphabet(5000), [4321, -4322, 4321])
+    for _ in range(3):
+        assert serialize_word(w) == "x4321 x4322^-1 x4321"
+        assert w.inverse().letters == (-4321, 4322, -4321)
+    # one code of each letter for serializing, and for inverting
+    assert len(worked_out) == len(set(worked_out)) == 4
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupshare.errors import BudgetExhausted
 from groupshare.freegroup import (
@@ -13,9 +15,10 @@ from groupshare.freegroup import (
     random_reduced_word,
     serialize_word,
 )
-from groupshare.scheme import WordParams, decode_column, encode_column
+from groupshare.scheme import WordColumn, WordParams, decode_column, encode_column
 from groupshare.smallcancel import (
     _dehn_index,
+    _dehn_verdict,
     DehnStep,
     DehnTrace,
     Presentation,
@@ -478,6 +481,50 @@ def test_dehn_breaks_ties_by_canonical_member_order():
     assert len(trace.steps[0].replaced) == 5
 
 
+def multi_threshold_case(rng):
+    """Three short relators of lengths among 5, 6, 9 and 12, and a word
+    made of conjugated relators and free letters between them."""
+    relators = []
+    for length in rng.sample((5, 6, 9, 12), 3):
+        r = random_reduced_word(length, A2, rng)
+        while not r.is_cyclically_reduced():
+            r = random_reduced_word(length, A2, rng)
+        relators.append(r)
+    w = random_reduced_word(rng.randrange(0, 4), A2, rng)
+    for _ in range(rng.randrange(1, 9)):
+        r = relators[rng.randrange(3)]
+        h = random_reduced_word(rng.randrange(0, 3), A2, rng)
+        w = w * conjugate(r if rng.randrange(2) else r.inverse(), h)
+        w = w * random_reduced_word(rng.randrange(0, 3), A2, rng)
+    return Presentation(A2, tuple(relators)), w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(("dealt", "random", "bare", "thresholds")), st.integers(0, 2**32))
+def test_verdict_scan_matches_the_traced_and_naive_verdicts(platform_group, kind, seed):
+    rng = Random(seed)
+    p = platform_group
+    if kind == "dealt":
+        bits = [rng.randrange(2) for _ in range(3)]
+        cases = [(p, w) for w in encode_column(bits, p, WordParams(), rng).words]
+    elif kind == "random":
+        cases = [(p, random_reduced_word(rng.randrange(0, 70), p.alphabet, rng))]
+    elif kind == "bare":
+        build = make_trivial_word if rng.randrange(2) else make_nontrivial_word
+        cases = [(p, build(p, 4, 0, rng))]
+    else:
+        cases = [multi_threshold_case(rng)]
+    for q, w in cases:
+        verdict = _dehn_verdict(q, w)
+        assert verdict is dehn_is_trivial(q, w).is_trivial is naive_dehn(q, w).is_trivial
+
+
+def test_decode_column_rejects_alphabet_mismatch(platform_group):
+    column = WordColumn((Word(platform_group.alphabet, [1]), Word(A2, [1])), group_hint=1)
+    with pytest.raises(ValueError, match="different alphabets"):
+        decode_column(column, platform_group)
+
+
 # ---------------------------------------------------------------------------
 # constructed words
 
@@ -558,3 +605,98 @@ def test_nontrivial_word_rejects_bad_length(platform_group):
         make_nontrivial_word(platform_group, 1, -1, Random(0))
     with pytest.raises(ValueError):
         make_nontrivial_word(Presentation(A2, ()), 1, 1, Random(0))
+
+
+# ---------------------------------------------------------------------------
+# the draws behind constructed words
+
+def letter_of(code):
+    return code // 2 if code % 2 == 0 else -(code // 2)
+
+
+def randrange_codes(length, rank, rng):
+    """Packed codes of a non-backtracking word, one ``randrange`` per
+    letter: 2m choices first, then the 2m - 1 that do not cancel."""
+    codes = []
+    if length:
+        codes.append(rng.randrange(2 * rank) + 2)
+        for _ in range(length - 1):
+            pick = rng.randrange(2 * rank - 1) + 2
+            if pick >= codes[-1] ^ 1:
+                pick += 1
+            codes.append(pick)
+    return codes
+
+
+def randrange_product(p, factor_count, conj_length, rng, perturb):
+    """The construction as written with one ``Random.randrange`` per draw,
+    over ``Word`` values; the packed construction must keep its stream."""
+    rank = p.alphabet.rank
+    if perturb and rank < 2:
+        raise ValueError("no substitute letter exists over a rank-1 alphabet")
+    for _ in range(1000):
+        altered = rng.randrange(factor_count) if perturb else -1
+        acc = Word(p.alphabet, [])
+        for i in range(factor_count):
+            idx = rng.randrange(len(p.relators))
+            sign = 1 if rng.randrange(2) == 0 else -1
+            h = Word(p.alphabet, map(letter_of, randrange_codes(conj_length, rank, rng)))
+            r = p.relators[idx] if sign > 0 else p.relators[idx].inverse()
+            if i == altered:
+                rl = r.letters
+                pos = rng.randrange(len(rl))
+                banned = (rl[pos], -rl[pos - 1], -rl[(pos + 1) % len(rl)])
+                subs = [c for c in range(2, 2 * rank + 2) if letter_of(c) not in banned]
+                sub = letter_of(subs[rng.randrange(len(subs))])
+                r = Word(p.alphabet, rl[:pos] + (sub,) + rl[pos + 1 :])
+            acc = acc * conjugate(r, h)
+        if acc:
+            return acc
+    raise BudgetExhausted("conjugate products collapsed to the identity")
+
+
+def randrange_column(bits, p, params, rng):
+    words = []
+    for bit in bits:
+        factors = rng.randrange(params.min_factors, params.max_factors + 1)
+        conj = rng.randrange(params.min_conj, params.max_conj + 1)
+        words.append(randrange_product(p, factors, conj, rng, not bit))
+    return tuple(words)
+
+
+def random_relators(alphabet, rng):
+    relators = []
+    for _ in range(rng.randrange(1, 4)):
+        r = random_reduced_word(rng.randrange(1, 13), alphabet, rng)
+        while not r.is_cyclically_reduced():
+            r = random_reduced_word(rng.randrange(1, 13), alphabet, rng)
+        relators.append(r)
+    return Presentation(alphabet, tuple(relators))
+
+
+def test_word_construction_keeps_the_randrange_stream():
+    # the same words and the same generator state afterwards, for both bit
+    # values, ranks 1-20 and conjugators of 0-60 letters
+    setup = Random(89)
+    ours, theirs = Random(101), Random(101)
+    for rank in range(1, 21):
+        p = random_relators(Alphabet(rank), setup)
+        for conj in range(61):
+            factors = 1 + conj % 4
+            for bit in (1, 0):
+                if not bit and rank < 2:
+                    with pytest.raises(ValueError):
+                        make_nontrivial_word(p, factors, conj, ours)
+                    continue
+                build = make_trivial_word if bit else make_nontrivial_word
+                assert build(p, factors, conj, ours) == randrange_product(
+                    p, factors, conj, theirs, not bit
+                )
+                assert ours.getstate() == theirs.getstate()
+        # a column draws its factor and conjugator counts first, including
+        # from a range of one value, which still consumes generator bits
+        bits = [setup.randrange(2) for _ in range(8)] if rank > 1 else [1] * 8
+        for params in (WordParams(), WordParams(2, 2, 0, 60), WordParams(1, 4, 5, 5)):
+            column = encode_column(bits, p, params, ours)
+            assert column.words == randrange_column(bits, p, params, theirs)
+            assert ours.getstate() == theirs.getstate()
