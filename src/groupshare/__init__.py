@@ -71,17 +71,8 @@ from .smallcancel import (
 )
 from .tietze import (
     BreakdownResult,
-    InvertGenerator,
-    RightMultiplyGenerator,
     T1Intro,
-    T2Cancel,
-    T3Auto,
     T4Replace,
-    apply_move,
-    apply_t1,
-    apply_t2,
-    apply_t3,
-    apply_t4prime,
     break_relators,
     expand_word,
     replay,

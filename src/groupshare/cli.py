@@ -234,11 +234,16 @@ def _parse_participants(raw: str, n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # command handlers
 
-def cmd_gen_group(args: argparse.Namespace) -> None:
+def _check_group_args(args: argparse.Namespace) -> None:
+    """The platform-group options that ``gen-group`` and ``deal`` share."""
     if args.length <= 6:
         raise UsageError("--length must exceed 6")
     if args.rank < 1 or args.relators < 1:
         raise UsageError("--rank and --relators must be positive")
+
+
+def cmd_gen_group(args: argparse.Namespace) -> None:
+    _check_group_args(args)
     lam = _parse_lambda(args.lam)
     rng = Random(args.seed)
     p = random_platform_group(args.rank, args.relators, args.length, lam, rng)
@@ -248,8 +253,7 @@ def cmd_gen_group(args: argparse.Namespace) -> None:
 
 
 def cmd_deal(args: argparse.Namespace) -> None:
-    if args.length <= 6:
-        raise UsageError("--length must exceed 6")
+    _check_group_args(args)
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     if args.mode == "tn":
@@ -388,7 +392,7 @@ def cmd_tietze_break(args: argparse.Namespace) -> None:
 def cmd_inspect(args: argparse.Namespace) -> None:
     p = parse_presentation(Path(args.infile).read_text())
     if args.word is None:
-        _print_report(check_small_cancellation(p, Fraction(1, 6)))
+        _print_report(check_small_cancellation(p, ONE_SIXTH))
         return
     w = parse_word(args.word, p.alphabet)
     trace = dehn_is_trivial(p, w)

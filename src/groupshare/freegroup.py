@@ -194,13 +194,17 @@ def conjugate(w: Word, h: Word) -> Word:
     return _from_chars(w.alphabet, _merge_chars(_merge_chars(inv_h, w.chars), h.chars))
 
 
-def cyclically_reduce(w: Word) -> Word:
-    s = w.chars
+def _cyclic_core(s: str) -> str:
+    """A reduced string with the letters that cancel around its ends removed."""
     lo, hi = 0, len(s)
     while hi - lo >= 2 and ord(s[lo]) ^ 1 == ord(s[hi - 1]):
         lo += 1
         hi -= 1
-    return _from_chars(w.alphabet, s[lo:hi])
+    return s[lo:hi]
+
+
+def cyclically_reduce(w: Word) -> Word:
+    return _from_chars(w.alphabet, _cyclic_core(w.chars))
 
 
 def cyclic_permutations(w: Word) -> frozenset[Word]:

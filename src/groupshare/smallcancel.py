@@ -69,8 +69,7 @@ class Presentation:
                 raise ValueError(f"relator {r!r} is not cyclically reduced")
 
     # Dehn decoding looks the presentation up in a cache once per word, so
-    # the hash is worked out once, on first use: the presentations that
-    # Tietze moves build one per move are never hashed.  Equality still
+    # the hash is worked out once, on first use, and kept.  Equality still
     # compares the fields.
     @cached_property
     def _hash(self) -> int:

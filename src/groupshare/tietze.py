@@ -1,15 +1,16 @@
 """Isomorphism-preserving presentation rewriting.
 
-Elementary Tietze moves (introduce a generator, cancel a generator, apply
-a free-group automorphism, recursively change one relator) plus the
-relator-breaking procedure that rewrites any presentation into one whose
+The relator-breaking procedure rewrites any presentation into one whose
 relators all have length at most 3.  Long relators leak structure through
 the over-half subwords that trivial words must contain; after breaking,
 every relator is too short to be distinctive.
 
 Breaking works on packed relator strings and writes the equivalent list
-of elementary moves as a by-product; :func:`replay` applies such a list
-move by move and is the check that the rewrite is an isomorphism.
+of elementary Tietze moves as a by-product: T1, which introduces a
+generator together with its defining relator, and T4', which replaces one
+relator by a variant of it that generates the same normal closure.
+:func:`replay` applies such a list move by move and is the check that the
+rewrite is an isomorphism.
 """
 
 from __future__ import annotations
@@ -23,30 +24,19 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 from .freegroup import (
     Alphabet,
     Word,
+    _cyclic_core,
     _from_chars,
     _invert_chars,
     _merge_chars,
-    conjugate,
-    cyclically_reduce,
     serialize_word,
 )
 from .smallcancel import Presentation, serialize_presentation
 
 __all__ = [
     "T1Intro",
-    "T2Cancel",
-    "InvertGenerator",
-    "RightMultiplyGenerator",
-    "T3Auto",
     "T4Replace",
-    "T4_VARIANTS",
     "TietzeMove",
     "BreakdownResult",
-    "apply_t1",
-    "apply_t2",
-    "apply_t3",
-    "apply_t4prime",
-    "apply_move",
     "replay",
     "break_relators",
     "expand_word",
@@ -63,59 +53,19 @@ class T1Intro:
 
 
 @dataclass(frozen=True)
-class T2Cancel:
-    """Cancel a generator that occurs exactly once, in its defining relator."""
-
-    generator: int
-
-
-@dataclass(frozen=True)
-class InvertGenerator:
-    """Elementary Nielsen move x_i -> x_i^-1."""
-
-    generator: int
-
-
-@dataclass(frozen=True)
-class RightMultiplyGenerator:
-    """Elementary Nielsen move x_i -> x_i x_j (j != i)."""
-
-    generator: int
-    by: int
-
-
-ElementaryAuto = Union[InvertGenerator, RightMultiplyGenerator]
-
-
-@dataclass(frozen=True)
-class T3Auto:
-    """Apply a composition of elementary Nielsen moves to every relator."""
-
-    moves: tuple[ElementaryAuto, ...]
-
-
-# The seven recursive relator replacements; ``variant`` uses the formula
-# verbatim, with i the replaced index, j a distinct partner, x a generator.
-T4_VARIANTS = (
-    "r_i^-1",
-    "r_i r_j",
-    "r_i r_j^-1",
-    "r_j r_i",
-    "r_j r_i^-1",
-    "x^-1 r_i x",
-    "x r_i x^-1",
-)
-
-
-@dataclass(frozen=True)
 class T4Replace:
+    """Replace relator i by the formula ``variant``, freely and cyclically
+    reduced: ``"r_i^-1"``, ``"r_j r_i"`` with j = ``other`` a distinct
+    relator, or ``"x^-1 r_i x"`` and ``"x r_i x^-1"`` with x = ``generator``.
+    """
+
     relator: int
     variant: str
     other: int | None = None
     generator: int | None = None
 
 
-TietzeMove = Union[T1Intro, T2Cancel, T3Auto, T4Replace]
+TietzeMove = Union[T1Intro, T4Replace]
 
 
 @dataclass(frozen=True)
@@ -134,161 +84,62 @@ class BreakdownResult:
 
 
 # ---------------------------------------------------------------------------
-# the four elementary transformations
+# applying moves
 
-def apply_t1(p: Presentation, definition: Word) -> Presentation:
-    """Add generator y = x_{m+1} with defining relator y * definition^-1."""
-    if definition.alphabet != p.alphabet:
-        raise ValueError("definition word is not over the presentation's alphabet")
-    wide = Alphabet(p.alphabet.rank + 1)
-    y = wide.rank
-    new_relator = _from_chars(
-        wide, _merge_chars(chr(2 * y), _invert_chars(definition.chars))
-    )
-    relators = tuple(_from_chars(wide, r.chars) for r in p.relators) + (new_relator,)
-    return Presentation(wide, relators)
-
-
-def apply_t2(p: Presentation, generator: int) -> Presentation:
-    """Remove a generator occurring exactly once in the whole relator list.
-
-    The unique occurrence marks the defining relator (accepted in any
-    rotated or inverted storage form).  That relator is dropped, the
-    generator removed, and higher generators renumbered down by one.
-    """
-    m = p.alphabet.rank
-    if not 1 <= generator <= m:
-        raise ValueError(f"generator index {generator} out of range")
-    if m == 1:
-        raise ValueError("cannot cancel the last remaining generator")
-    target = chr(2 * generator)
-    holder: int | None = None
-    occurrences = 0
-    for idx, r in enumerate(p.relators):
-        count = r.chars.count(target) + r.chars.count(chr(2 * generator + 1))
-        if count:
-            occurrences += count
-            holder = idx
-    if occurrences == 0:
-        raise ValueError(f"generator x{generator} has no defining relator")
-    if occurrences > 1:
-        raise ValueError(f"generator x{generator} occurs more than once")
-    narrow = Alphabet(m - 1)
-
-    def renumber(w: Word) -> Word:
-        letters = []
-        for letter in w:
-            index = abs(letter)
-            if index == generator:
-                raise ValueError("unexpected occurrence during renumbering")
-            if index > generator:
-                index -= 1
-            letters.append(index if letter > 0 else -index)
-        return cyclically_reduce(Word(narrow, letters))
-
-    relators = tuple(renumber(r) for i, r in enumerate(p.relators) if i != holder)
-    return Presentation(narrow, relators)
-
-
-def apply_t3(p: Presentation, auto: ElementaryAuto | Sequence[ElementaryAuto] | T3Auto) -> Presentation:
-    """Apply elementary Nielsen moves (in order) to every relator."""
-    if isinstance(auto, T3Auto):
-        moves: Sequence[ElementaryAuto] = auto.moves
-    elif isinstance(auto, (InvertGenerator, RightMultiplyGenerator)):
-        moves = (auto,)
-    else:
-        moves = tuple(auto)
-    m = p.alphabet.rank
-    relators = list(p.relators)
-    for move in moves:
-        if isinstance(move, InvertGenerator):
-            if not 1 <= move.generator <= m:
-                raise ValueError(f"generator index {move.generator} out of range")
-            i = move.generator
-
-            def image(letter: int, i: int = i) -> list[int]:
-                return [-letter] if abs(letter) == i else [letter]
-
-        elif isinstance(move, RightMultiplyGenerator):
-            if not 1 <= move.generator <= m or not 1 <= move.by <= m:
-                raise ValueError("generator index out of range")
-            if move.generator == move.by:
-                raise ValueError("x_i -> x_i x_j requires j != i")
-            i, j = move.generator, move.by
-
-            def image(letter: int, i: int = i, j: int = j) -> list[int]:
-                if letter == i:
-                    return [i, j]
-                if letter == -i:
-                    return [-j, -i]
-                return [letter]
-
-        else:
-            raise ValueError(f"unrecognized automorphism move {move!r}")
-        relators = [
-            Word(p.alphabet, [out for letter in r for out in image(letter)])
-            for r in relators
-        ]
-    return Presentation(p.alphabet, tuple(cyclically_reduce(r) for r in relators))
-
-
-def apply_t4prime(p: Presentation, move: T4Replace) -> Presentation:
-    """Replace relator i by one of the seven recursive variants; the result
-    is freely and cyclically reduced, other relators are untouched."""
+def _replacement(relators: Sequence[str], rank: int, move: T4Replace) -> str:
+    """The packed relator that ``move`` puts in place of relator i."""
     i = move.relator
-    if not 0 <= i < len(p.relators):
+    if not 0 <= i < len(relators):
         raise ValueError(f"relator index {i} out of range")
-    r = p.relators[i]
+    r = relators[i]
     variant = move.variant
     if variant == "r_i^-1":
-        replacement = r.inverse()
-    elif variant in ("r_i r_j", "r_i r_j^-1", "r_j r_i", "r_j r_i^-1"):
+        replacement = _invert_chars(r)
+    elif variant == "r_j r_i":
         j = move.other
-        if j is None or not 0 <= j < len(p.relators):
+        if j is None or not 0 <= j < len(relators):
             raise ValueError("product variant needs a valid partner index")
         if j == i:
             raise ValueError("product variant requires j != i")
-        s = p.relators[j]
-        if variant == "r_i r_j":
-            replacement = r * s
-        elif variant == "r_i r_j^-1":
-            replacement = r * s.inverse()
-        elif variant == "r_j r_i":
-            replacement = s * r
-        else:
-            replacement = s * r.inverse()
+        replacement = _merge_chars(relators[j], r)
     elif variant in ("x^-1 r_i x", "x r_i x^-1"):
         k = move.generator
-        if k is None or not 1 <= k <= p.alphabet.rank:
+        if k is None or not 1 <= k <= rank:
             raise ValueError("conjugation variant needs a valid generator")
-        x = Word(p.alphabet, [k])
-        replacement = conjugate(r, x if variant == "x^-1 r_i x" else x.inverse())
+        # the letter on the right of r_i, and its inverse on the left
+        right = chr(2 * k + (variant == "x r_i x^-1"))
+        replacement = _merge_chars(_merge_chars(chr(ord(right) ^ 1), r), right)
     else:
         raise ValueError(f"unrecognized T4' variant {variant!r}")
-    replacement = cyclically_reduce(replacement)
+    replacement = _cyclic_core(replacement)
     if not replacement:
         raise ValueError("replacement relator collapses to the empty word")
-    relators = list(p.relators)
-    relators[i] = replacement
-    return Presentation(p.alphabet, tuple(relators))
-
-
-def apply_move(p: Presentation, move: TietzeMove) -> Presentation:
-    if isinstance(move, T1Intro):
-        return apply_t1(p, move.definition)
-    if isinstance(move, T2Cancel):
-        return apply_t2(p, move.generator)
-    if isinstance(move, T3Auto):
-        return apply_t3(p, move)
-    if isinstance(move, T4Replace):
-        return apply_t4prime(p, move)
-    raise ValueError(f"unrecognized move {move!r}")
+    return replacement
 
 
 def replay(p: Presentation, moves: Iterable[TietzeMove]) -> Presentation:
+    """Apply ``moves`` to ``p`` in order; a single move is ``replay(p, [move])``.
+
+    Each move is checked against the rank and relators that the moves
+    before it left, and a bad one raises ``ValueError``.  The relators stay
+    packed strings throughout, and one :class:`Presentation` is built, and
+    validated, at the end.
+    """
+    relators = [r.chars for r in p.relators]
+    rank = p.alphabet.rank
     for move in moves:
-        p = apply_move(p, move)
-    return p
+        if isinstance(move, T4Replace):
+            relators[move.relator] = _replacement(relators, rank, move)
+        elif isinstance(move, T1Intro):
+            if move.definition.alphabet.rank != rank:
+                raise ValueError("definition word is not over the presentation's alphabet")
+            # the new generator occurs nowhere in the definition, so nothing cancels
+            rank += 1
+            relators.append(chr(2 * rank) + _invert_chars(move.definition.chars))
+        else:
+            raise ValueError(f"unrecognized move {move!r}")
+    alphabet = Alphabet(rank)
+    return Presentation(alphabet, tuple(_from_chars(alphabet, r) for r in relators))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,22 @@ def test_unknown_flags_are_usage_errors(capsys):
     assert run(capsys, "recover", "--session-dir", "x")[0] == 1
 
 
+GROUP_COMMANDS = {
+    "gen-group": ["gen-group", "--out"],
+    "deal": ["deal", "--mode", "nn", "--secret", "ab", "--n", "2", "--session-dir"],
+}
+
+
+@pytest.mark.parametrize("bad", [("--rank", "0"), ("--relators", "0"), ("--length", "6")])
+@pytest.mark.parametrize("command", sorted(GROUP_COMMANDS))
+def test_group_options_are_usage_errors_in_every_command(tmp_path, capsys, command, bad):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *GROUP_COMMANDS[command], str(out), *bad)
+    assert code == 1 and stdout == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # nn sessions
 

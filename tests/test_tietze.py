@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groupshare.freegroup import (
     Alphabet,
     Word,
+    conjugate,
     cyclic_permutations,
     cyclically_reduce,
     parse_word,
@@ -18,15 +19,8 @@ from groupshare.smallcancel import Presentation, random_platform_group
 from groupshare.smallcancel import make_trivial_word_certified
 from groupshare.tietze import (
     BreakdownResult,
-    InvertGenerator,
-    RightMultiplyGenerator,
     T1Intro,
     T4Replace,
-    apply_move,
-    apply_t1,
-    apply_t2,
-    apply_t3,
-    apply_t4prime,
     break_relators,
     expand_word,
     replay,
@@ -59,113 +53,29 @@ def random_presentation(rng, rank, n_rel, lmin, lmax):
 
 
 # ---------------------------------------------------------------------------
-# T1 / T2
+# T1
 
 def test_t1_basic_example():
     p = Presentation(A1, ())
-    q = apply_t1(p, Word(A1, [1, 1]))
+    q = replay(p, [T1Intro(Word(A1, [1, 1]))])
     assert q.alphabet.rank == 2
     assert [serialize_word(r) for r in q.relators] == ["x2 x1^-1 x1^-1"]
 
 
 def test_t1_on_worked_example():
-    q = apply_t1(worked_example(), parse_word("x1 x1", A3))
+    q = replay(worked_example(), [T1Intro(parse_word("x1 x1", A3))])
     assert q.alphabet.rank == 4
     assert serialize_word(q.relators[-1]) == "x4 x1^-1 x1^-1"
 
 
 def test_t1_empty_definition_yields_single_letter_relator():
-    q = apply_t1(Presentation(A1, ()), Word(A1, []))
+    q = replay(Presentation(A1, ()), [T1Intro(Word(A1, []))])
     assert serialize_word(q.relators[-1]) == "x2"
 
 
 def test_t1_rejects_foreign_word():
-    with pytest.raises(ValueError):
-        apply_t1(Presentation(A1, ()), Word(A2, [2]))
-
-
-def test_t2_inverts_t1():
-    rng = Random(3)
-    for _ in range(10):
-        p = random_presentation(rng, 3, 2, 4, 9)
-        s = random_reduced_word(rng.randrange(0, 6), p.alphabet, rng)
-        q = apply_t1(p, s)
-        assert apply_t2(q, q.alphabet.rank) == p
-
-
-def test_t2_plain_cancel():
-    p = Presentation(A2, (parse_word("x2 x1^-1 x1^-1 x1^-1", A2),))
-    q = apply_t2(p, 2)
-    assert q.alphabet.rank == 1 and q.relators == ()
-
-
-def test_t2_accepts_rotated_or_inverted_defining_relator():
-    # x1 x1 x2^-1 is a rotated inverse of the definition x2 = x1 x1
-    p = Presentation(A2, (parse_word("x1 x1 x2^-1", A2),))
-    q = apply_t2(p, 2)
-    assert q.alphabet.rank == 1 and q.relators == ()
-
-
-def test_t2_renumbers_higher_generators():
-    p = Presentation(A3, (parse_word("x2 x3 x3", A3),))
-    # x1 occurs nowhere, so it can be cancelled only if it had a defining
-    # relator; it does not, so this is an error.
-    with pytest.raises(ValueError):
-        apply_t2(p, 1)
-    p2 = Presentation(A3, (Word(A3, [1]), parse_word("x2 x3 x3", A3)))
-    q = apply_t2(p2, 1)
-    assert q.alphabet.rank == 2
-    assert serialize_word(q.relators[0]) == "x1 x2 x2"
-
-
-def test_t2_rejects_repeated_generator():
-    p = Presentation(A2, (parse_word("x2 x1 x2 x1", A2),))
-    with pytest.raises(ValueError):
-        apply_t2(p, 2)
-    with pytest.raises(ValueError):
-        apply_t2(Presentation(A2, ()), 2)
-
-
-# ---------------------------------------------------------------------------
-# T3
-
-def test_t3_invert_generator():
-    p = Presentation(A1, (power(A1, 1, 7),))
-    q = apply_t3(p, InvertGenerator(1))
-    assert q.relators[0].letters == (-1,) * 7
-
-
-def test_t3_right_multiply():
-    p = Presentation(A2, (parse_word("x1 x2^-1", A2),))
-    q = apply_t3(p, RightMultiplyGenerator(1, 2))
-    assert q.relators[0].letters == (1,)
-
-
-def test_t3_identity_is_noop():
-    p = worked_example()
-    assert apply_t3(p, []) == p
-
-
-def test_t3_rejects_bad_moves():
-    p = worked_example()
-    with pytest.raises(ValueError):
-        apply_t3(p, RightMultiplyGenerator(1, 1))
-    with pytest.raises(ValueError):
-        apply_t3(p, InvertGenerator(9))
-
-
-def test_t3_is_invertible():
-    rng = Random(11)
-    for _ in range(10):
-        p = random_presentation(rng, 3, 2, 4, 10)
-        q = apply_t3(p, RightMultiplyGenerator(1, 2))
-        # x1 -> x1 x2 is undone by x1 -> x1 x2^-1 = invert 2, multiply, invert 2
-        back = apply_t3(
-            q, [InvertGenerator(2), RightMultiplyGenerator(1, 2), InvertGenerator(2)]
-        )
-        # round-tripping may rotate a relator through cyclic reduction
-        for before, after in zip(p.relators, back.relators):
-            assert after in cyclic_permutations(before)
+    with pytest.raises(ValueError, match="not over the presentation's alphabet"):
+        replay(Presentation(A1, ()), [T1Intro(Word(A2, [2]))])
 
 
 # ---------------------------------------------------------------------------
@@ -173,57 +83,60 @@ def test_t3_is_invertible():
 
 def test_t4_invert_variant():
     p = Presentation(A1, (power(A1, 1, 7),))
-    q = apply_t4prime(p, T4Replace(0, "r_i^-1"))
+    q = replay(p, [T4Replace(0, "r_i^-1")])
     assert q.relators[0].letters == (-1,) * 7
 
 
 def test_t4_conjugation_noop_and_rotation():
     p = worked_example()
-    untouched = apply_t4prime(p, T4Replace(0, "x^-1 r_i x", generator=3))
+    untouched = replay(p, [T4Replace(0, "x^-1 r_i x", generator=3)])
     assert untouched.relators[0] == p.relators[0]
-    rotated = apply_t4prime(p, T4Replace(0, "x^-1 r_i x", generator=1))
+    rotated = replay(p, [T4Replace(0, "x^-1 r_i x", generator=1)])
     assert rotated.relators[0] in cyclic_permutations(p.relators[0])
 
 
 def test_t4_product_reduces_across_boundary():
     p = Presentation(A3, (parse_word("x1 x2", A3), parse_word("x2^-1 x3", A3)))
-    q = apply_t4prime(p, T4Replace(0, "r_i r_j", other=1))
-    assert serialize_word(q.relators[0]) == "x1 x3"
-    assert q.relators[1] == p.relators[1]
+    q = replay(p, [T4Replace(1, "r_j r_i", other=0)])
+    assert serialize_word(q.relators[1]) == "x1 x3"
+    assert q.relators[0] == p.relators[0]
 
 
 def test_t4_all_product_variants():
+    # r_j r_i is the one product that relator breaking writes; the other
+    # three orders and signs are not moves
     p = Presentation(A3, (parse_word("x1 x2", A3), parse_word("x3 x2", A3)))
     r0, r1 = p.relators
-    expected = {
-        "r_i r_j": r0 * r1,
-        "r_i r_j^-1": r0 * r1.inverse(),
-        "r_j r_i": r1 * r0,
-        "r_j r_i^-1": r1 * r0.inverse(),
-    }
-    for variant, word in expected.items():
-        q = apply_t4prime(p, T4Replace(0, variant, other=1))
-        assert q.relators[0] == cyclically_reduce(word)
+    q = replay(p, [T4Replace(0, "r_j r_i", other=1)])
+    assert q.relators[0] == cyclically_reduce(r1 * r0)
+    for variant in ("r_i r_j", "r_i r_j^-1", "r_j r_i^-1"):
+        with pytest.raises(ValueError, match="unrecognized T4' variant"):
+            replay(p, [T4Replace(0, variant, other=1)])
 
 
 def test_t4_rejects_bad_moves():
     p = worked_example()
-    with pytest.raises(ValueError):
-        apply_t4prime(p, T4Replace(5, "r_i^-1"))
-    with pytest.raises(ValueError):
-        apply_t4prime(p, T4Replace(0, "r_i r_j", other=0))
-    with pytest.raises(ValueError):
-        apply_t4prime(p, T4Replace(0, "r_i r_j"))
-    with pytest.raises(ValueError):
-        apply_t4prime(p, T4Replace(0, "x^-1 r_i x", generator=9))
-    with pytest.raises(ValueError):
-        apply_t4prime(p, T4Replace(0, "bogus"))
+    bad = {
+        T4Replace(5, "r_i^-1"): "relator index 5 out of range",
+        T4Replace(-1, "r_i^-1"): "relator index -1 out of range",
+        T4Replace(0, "r_j r_i", other=0): "requires j != i",
+        T4Replace(0, "r_j r_i"): "needs a valid partner index",
+        T4Replace(0, "r_j r_i", other=2): "needs a valid partner index",
+        T4Replace(0, "x^-1 r_i x", generator=9): "needs a valid generator",
+        T4Replace(0, "x r_i x^-1"): "needs a valid generator",
+        T4Replace(0, "bogus"): "unrecognized T4' variant",
+    }
+    for move, message in bad.items():
+        with pytest.raises(ValueError, match=message):
+            replay(p, [move])
+    with pytest.raises(ValueError, match="unrecognized move"):
+        replay(p, ["T4Replace(0, 'r_i^-1')"])
 
 
 def test_t4_rejects_collapse_to_empty():
     p = Presentation(A2, (parse_word("x1 x2", A2), parse_word("x2^-1 x1^-1", A2)))
-    with pytest.raises(ValueError):
-        apply_t4prime(p, T4Replace(0, "r_i r_j", other=1))
+    with pytest.raises(ValueError, match="collapses to the empty word"):
+        replay(p, [T4Replace(0, "r_j r_i", other=1)])
 
 
 def test_t4_preserves_exponent_gcd():
@@ -231,16 +144,113 @@ def test_t4_preserves_exponent_gcd():
     p = Presentation(A1, (power(A1, 1, 6), power(A1, 1, 9)))
     moves = [
         T4Replace(0, "r_i^-1"),
-        T4Replace(0, "r_i r_j", other=1),
+        T4Replace(0, "r_j r_i", other=1),
         T4Replace(1, "r_j r_i", other=0),
         T4Replace(0, "x^-1 r_i x", generator=1),
         T4Replace(1, "x r_i x^-1", generator=1),
     ]
     current = p
     for move in moves:
-        current = apply_t4prime(current, move)
+        current = replay(current, [move])
         exponents = [sum(r.letters) for r in current.relators]
         assert gcd(*exponents) == 3
+
+
+@st.composite
+def presentations_and_moves(draw):
+    """A presentation of rank 1-4 with 1-4 relators, and one valid move of
+    each kind that relator breaking writes."""
+    rank = draw(st.integers(1, 4))
+    alphabet = Alphabet(rank)
+    letter = st.integers(-rank, rank).filter(bool)
+    relators = draw(
+        st.lists(
+            st.lists(letter, min_size=1, max_size=12)
+            .map(lambda letters: cyclically_reduce(Word(alphabet, letters)))
+            .filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    index = st.integers(0, len(relators) - 1)
+    i = draw(index)
+    moves = [
+        T1Intro(Word(alphabet, draw(st.lists(letter, max_size=6)))),
+        T4Replace(i, "r_i^-1"),
+        T4Replace(i, "x^-1 r_i x", generator=draw(st.integers(1, rank))),
+        T4Replace(i, "x r_i x^-1", generator=draw(st.integers(1, rank))),
+    ]
+    if len(relators) > 1:
+        moves.append(T4Replace(i, "r_j r_i", other=draw(index.filter(lambda j: j != i))))
+    return Presentation(alphabet, tuple(relators)), moves
+
+
+def word_arithmetic(p, move):
+    """What ``move`` does to ``p``, worked out on :class:`Word` values."""
+    relators = list(p.relators)
+    if isinstance(move, T1Intro):
+        wide = Alphabet(p.alphabet.rank + 1)
+        relators = [Word(wide, r.letters) for r in relators]
+        new = Word(wide, [wide.rank]) * Word(wide, move.definition.letters).inverse()
+        return Presentation(wide, (*relators, new))
+    r = relators[move.relator]
+    if move.variant == "r_i^-1":
+        replacement = r.inverse()
+    elif move.variant == "r_j r_i":
+        replacement = relators[move.other] * r
+    else:
+        x = Word(p.alphabet, [move.generator])
+        replacement = conjugate(r, x if move.variant == "x^-1 r_i x" else x.inverse())
+    relators[move.relator] = cyclically_reduce(replacement)
+    if not relators[move.relator]:
+        return None
+    return Presentation(p.alphabet, tuple(relators))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(presentations_and_moves())
+def test_replay_matches_word_arithmetic(case):
+    p, moves = case
+    for move in moves:
+        expected = word_arithmetic(p, move)
+        if expected is None:
+            with pytest.raises(ValueError, match="collapses to the empty word"):
+                replay(p, [move])
+        else:
+            assert replay(p, [move]) == expected
+
+
+def test_replay_checks_each_move_where_it_stands():
+    p = random_platform_group(3, 3, 40, "1/6", Random(40))
+    moves = list(break_relators(p).moves)
+    middle = len(moves) // 2
+    head = moves[:middle]
+    count = len(p.relators) + sum(isinstance(m, T1Intro) for m in head)
+    rank = p.alphabet.rank + sum(isinstance(m, T1Intro) for m in head)
+    # the relator index that the next T1 makes valid, and the alphabet
+    # that the last T1 left behind
+    bad_moves = (T4Replace(count, "r_i^-1"), T1Intro(Word(Alphabet(rank - 1), [1, 2])))
+    assert any(isinstance(m, T1Intro) for m in moves[middle:])
+    for bad in bad_moves:
+        with pytest.raises(ValueError):
+            replay(p, [*head, bad, *moves[middle:]])
+
+
+def test_replay_builds_one_presentation(monkeypatch):
+    p = random_platform_group(3, 3, 40, "1/6", Random(40))
+    result = break_relators(p)
+    calls = []
+    validate = Presentation.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    assert replay(p, result.moves) == result.presentation
+    assert len(calls) == 1
+    replay(p, result.moves[:1])
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +333,9 @@ def find_pair(letters, pair):
 
 
 class ReferenceBreaker:
-    """The greedy pair absorption, driven through apply_move one move at a
-    time over letter tuples, so every intermediate presentation is rebuilt
-    and validated."""
+    """The greedy pair absorption over letter tuples, driven one move at a
+    time through ``replay(current, (move,))``, so every intermediate
+    presentation is rebuilt and validated."""
 
     def __init__(self, p):
         self.current = p
@@ -335,7 +345,7 @@ class ReferenceBreaker:
         self.definition_index = {}  # generator -> relator index of g^-1 a b
 
     def apply(self, move):
-        self.current = apply_move(self.current, move)
+        self.current = replay(self.current, (move,))
         self.moves.append(move)
 
     def rotate_left(self, idx):
