@@ -12,7 +12,6 @@ from .errors import BudgetExhausted
 from .freegroup import (
     Alphabet,
     Word,
-    conjugate,
     cyclic_permutations,
     cyclically_reduce,
     parse_word,
@@ -23,7 +22,6 @@ from .scheme import (
     BitColumn,
     SessionConfig,
     WordColumn,
-    WordParams,
     column_to_int,
     deal_nn,
     deal_tn,
@@ -39,7 +37,6 @@ from .securesum import (
     PrivacyAudit,
     Transcript,
     export_transcript,
-    replay_transcript,
     run_secure_linear_combination,
     run_secure_sum,
     transcript_privacy_audit,
@@ -63,11 +60,9 @@ from .smallcancel import (
     dehn_is_trivial,
     make_nontrivial_word,
     make_trivial_word,
-    make_trivial_word_certified,
     parse_presentation,
     random_platform_group,
     serialize_presentation,
-    symmetrize,
 )
 from .tietze import (
     BreakdownResult,

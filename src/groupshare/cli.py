@@ -33,7 +33,6 @@ from .freegroup import Alphabet, parse_word, serialize_word
 from .scheme import (
     SessionConfig,
     WordColumn,
-    WordParams,
     column_to_int,
     deal_nn,
     deal_tn,
@@ -270,7 +269,6 @@ def cmd_deal(args: argparse.Namespace) -> None:
                          "the word problem only on C'(1/6) groups")
     rng = Random(args.seed)
     session = Path(args.session_dir)
-    word_params = WordParams()
 
     if args.mode == "tn":
         modulus = PrimeModulus(args.p)
@@ -280,12 +278,8 @@ def cmd_deal(args: argparse.Namespace) -> None:
         if not 0 <= secret < modulus.p:
             raise ValueError(f"secret out of range [0, {modulus.p})")
         k = modulus.p.bit_length()
-        cfg = SessionConfig(
-            n=args.n, t=args.t, k=k, p=modulus,
-            rank=args.rank, relator_count=args.relators,
-            relator_length=args.length, lam=lam,
-        )
-        deal = partial(deal_tn, secret, cfg, rng=rng, word_params=word_params)
+        cfg = SessionConfig(n=args.n, t=args.t, k=k, p=modulus)
+        deal = partial(deal_tn, secret, cfg, rng=rng)
         t_value = args.t
     else:
         if not re.fullmatch("[0-9a-fA-F]+", args.secret):
@@ -293,7 +287,7 @@ def cmd_deal(args: argparse.Namespace) -> None:
         secret_value = int(args.secret, 16)
         k = 4 * len(args.secret)
         bits = int_to_column(secret_value, k)
-        deal = partial(deal_nn, bits, word_params=word_params, rng=rng)
+        deal = partial(deal_nn, bits, rng=rng)
         t_value = args.n
     groups = [random_platform_group(args.rank, args.relators, args.length, lam, rng)
               for _ in range(args.n)]

@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator
 __all__ = [
     "Alphabet",
     "Word",
-    "conjugate",
     "cyclically_reduce",
     "cyclic_permutations",
     "random_reduced_word",
@@ -157,7 +156,8 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         """Group product: reduced concatenation of ``self`` and ``other``."""
-        _require_same_alphabet(self, other)
+        if self.alphabet != other.alphabet:
+            raise ValueError("words over different alphabets")
         return _from_chars(self.alphabet, _merge_chars(self.chars, other.chars))
 
     def __repr__(self) -> str:
@@ -179,20 +179,8 @@ def _from_chars(alphabet: Alphabet, chars: str) -> Word:
     return w
 
 
-def _require_same_alphabet(a: Word, b: Word) -> None:
-    if a.alphabet != b.alphabet:
-        raise ValueError("words over different alphabets")
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-def conjugate(w: Word, h: Word) -> Word:
-    """``h^-1 w h``, reduced."""
-    _require_same_alphabet(w, h)
-    inv_h = _invert_chars(h.chars)
-    return _from_chars(w.alphabet, _merge_chars(_merge_chars(inv_h, w.chars), h.chars))
-
 
 def _cyclic_core(s: str) -> str:
     """A reduced string with the letters that cancel around its ends removed."""

@@ -15,24 +15,16 @@ word column the same way, and any t decoded values interpolate back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Sequence
 
 from .freegroup import Word, _below
 from .shamir import PrimeModulus, SharePoint, poly_eval, random_polynomial
-from .smallcancel import (
-    ONE_SIXTH,
-    Presentation,
-    _dehn_verdict,
-    make_nontrivial_word,
-    make_trivial_word,
-)
+from .smallcancel import Presentation, _dehn_verdict, make_nontrivial_word, make_trivial_word
 
 __all__ = [
     "BitColumn",
     "WordColumn",
-    "WordParams",
     "SessionConfig",
     "split_secret",
     "encode_column",
@@ -58,52 +50,32 @@ class WordColumn:
     group_hint: int
 
 
-@dataclass(frozen=True)
-class WordParams:
-    """Randomness knobs for share-word construction.
-
-    Trivial words multiply ``factors`` conjugated relators with conjugators
-    of length drawn from [min_conj, max_conj]; the defaults leave enough
-    entropy that dealing many secrets through one group never repeats a
-    word in practice.
-    """
-
-    min_factors: int = 2
-    max_factors: int = 3
-    min_conj: int = 3
-    max_conj: int = 7
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.min_factors <= self.max_factors:
-            raise ValueError("bad factor range")
-        if not 0 <= self.min_conj <= self.max_conj:
-            raise ValueError("bad conjugator range")
+# Every share word multiplies 2-3 conjugated relators, with conjugators of
+# 3-7 letters: enough entropy that dealing many secrets through one group
+# never repeats a word in practice.
+_FACTORS = range(2, 4)
+_CONJ_LENGTH = range(3, 8)
 
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Public session parameters (made public by design; only the
-    presentations and the dealt polynomial stay private)."""
+    """Public parameters of a threshold session (made public by design;
+    only the presentations and the dealt polynomial stay private)."""
 
     n: int
     t: int
     k: int
-    p: PrimeModulus | None = None
-    rank: int = 3
-    relator_count: int = 3
-    relator_length: int = 40
-    lam: Fraction = ONE_SIXTH
+    p: PrimeModulus
 
     def __post_init__(self) -> None:
         if not 1 <= self.t <= self.n:
             raise ValueError("need 1 <= t <= n")
         if self.k < 1:
             raise ValueError("column width must be positive")
-        if self.p is not None:
-            if self.n >= self.p.p:
-                raise ValueError("need n < p so share indices stay distinct")
-            if self.k < self.p.p.bit_length():
-                raise ValueError("column width cannot represent residues mod p")
+        if self.n >= self.p.p:
+            raise ValueError("need n < p so share indices stay distinct")
+        if self.k < self.p.p.bit_length():
+            raise ValueError("column width cannot represent residues mod p")
 
 
 def _check_bits(c: Sequence[int]) -> BitColumn:
@@ -129,7 +101,6 @@ def split_secret(c: Sequence[int], n: int, rng: Random) -> list[BitColumn]:
 def encode_column(
     share: Sequence[int],
     g: Presentation,
-    word_params: WordParams,
     rng: Random,
     group_hint: int = 0,
 ) -> WordColumn:
@@ -142,12 +113,10 @@ def encode_column(
     """
     col = _check_bits(share)
     getrandbits = rng.getrandbits
-    factor_choices = word_params.max_factors - word_params.min_factors + 1
-    conj_choices = word_params.max_conj - word_params.min_conj + 1
     words = []
     for bit in col:
-        factors = word_params.min_factors + _below(getrandbits, factor_choices)
-        conj = word_params.min_conj + _below(getrandbits, conj_choices)
+        factors = _FACTORS[_below(getrandbits, len(_FACTORS))]
+        conj = _CONJ_LENGTH[_below(getrandbits, len(_CONJ_LENGTH))]
         build = make_trivial_word if bit else make_nontrivial_word
         words.append(build(g, factors, conj, rng))
     return WordColumn(tuple(words), group_hint=group_hint)
@@ -187,17 +156,12 @@ def column_to_int(c: Sequence[int]) -> int:
     return out
 
 
-def deal_nn(
-    secret: Sequence[int],
-    groups: Sequence[Presentation],
-    word_params: WordParams,
-    rng: Random,
-) -> list[WordColumn]:
+def deal_nn(secret: Sequence[int], groups: Sequence[Presentation], rng: Random) -> list[WordColumn]:
     """All-participants dealing: split the secret column and encode each
     share over the matching participant's group."""
     shares = split_secret(secret, len(groups), rng)
     return [
-        encode_column(share, g, word_params, rng, group_hint=j)
+        encode_column(share, g, rng, group_hint=j)
         for j, (share, g) in enumerate(zip(shares, groups), start=1)
     ]
 
@@ -207,23 +171,18 @@ def deal_tn(
     cfg: SessionConfig,
     groups: Sequence[Presentation],
     rng: Random,
-    word_params: WordParams | None = None,
 ) -> list[WordColumn]:
     """Threshold dealing: sample f of degree t - 1 with f(0) = secret and
     publish, for each participant j, the word-column encoding of f(j)."""
-    if cfg.p is None:
-        raise ValueError("threshold dealing needs a prime modulus in the config")
     if len(groups) != cfg.n:
         raise ValueError("one platform group per participant is required")
-    if word_params is None:
-        word_params = WordParams()
     p = cfg.p.p
     f = random_polynomial(secret, cfg.t, p, rng)
     columns = []
     for j in range(1, cfg.n + 1):
         y = poly_eval(f, j, p)
         columns.append(
-            encode_column(int_to_column(y, cfg.k), groups[j - 1], word_params, rng, group_hint=j)
+            encode_column(int_to_column(y, cfg.k), groups[j - 1], rng, group_hint=j)
         )
     return columns
 

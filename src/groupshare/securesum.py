@@ -34,7 +34,6 @@ __all__ = [
     "run_secure_sum",
     "run_secure_linear_combination",
     "transcript_privacy_audit",
-    "replay_transcript",
     "export_transcript",
 ]
 
@@ -128,10 +127,6 @@ class _ModPDomain:
         return range(self.p)
 
 
-def _domain(tr: Transcript):
-    return _XorDomain(tr.width) if tr.kind == "xor" else _ModPDomain(tr.modulus)
-
-
 def _payload_sequence(domain, coefficients, inputs, masks) -> list[Payload]:
     """Payloads of rounds 1..2n given the full private state."""
     n = len(inputs)
@@ -206,16 +201,6 @@ def run_secure_linear_combination(
         "modp", _ModPDomain(p), [s.value % p for s in shares], coefficients, rng
     )
     return tr.output, tr
-
-
-def replay_transcript(tr: Transcript) -> Transcript:
-    """Recompute the whole message sequence from the recorded private state."""
-    domain = _domain(tr)
-    payloads = _payload_sequence(domain, tr.coefficients, tr.inputs, tr.masks)
-    return Transcript(
-        tr.kind, tr.n, tr.width, tr.modulus, tr.coefficients,
-        _wrap_messages(tr.n, payloads), tr.inputs, tr.masks,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,18 +37,19 @@ __all__ = [
     "CancellationReport",
     "DehnStep",
     "DehnTrace",
-    "symmetrize",
     "check_small_cancellation",
     "random_platform_group",
     "dehn_is_trivial",
     "make_trivial_word",
-    "make_trivial_word_certified",
     "make_nontrivial_word",
     "parse_presentation",
     "serialize_presentation",
 ]
 
 ONE_SIXTH = Fraction(1, 6)
+
+# Rejection-sampling budget of platform groups and of share words.
+_MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -110,34 +111,16 @@ class DehnTrace:
 # ---------------------------------------------------------------------------
 # symmetrization and the metric condition
 
-def _closure(relators: Iterable[Word], alphabet: Alphabet) -> list[str]:
-    """Packed members of the symmetrized closure R*: every relator,
-    cyclically reduced, with its inverse and all their cyclic permutations,
-    deduplicated in the canonical (length, internal-lex) order."""
+def _closure(relators: Iterable[Word]) -> list[str]:
+    """Packed members of the symmetrized closure R*: every relator (nonempty
+    and cyclically reduced) with its inverse and all their cyclic
+    permutations, deduplicated in the canonical (length, internal-lex)
+    order."""
     members: set[str] = set()
     for r in relators:
-        if r.alphabet != alphabet:
-            raise ValueError("relator over a different alphabet")
-        core = cyclically_reduce(r).chars
-        if not core:
-            raise ValueError("empty relator")
-        for base in (core, _invert_chars(core)):
+        for base in (r.chars, _invert_chars(r.chars)):
             members.update(base[i:] + base[:i] for i in range(len(base)))
     return sorted(members, key=lambda m: (len(m), m))
-
-
-def symmetrize(relators: Iterable[Word], alphabet: Alphabet | None = None) -> tuple[Word, ...]:
-    """Close a relator set under inversion and cyclic permutation.
-
-    Inputs are cyclically reduced first; members come back deduplicated in
-    a canonical (length, internal-lex) order.
-    """
-    relators = tuple(relators)
-    if alphabet is None:
-        if not relators:
-            raise ValueError("cannot infer alphabet from an empty relator list")
-        alphabet = relators[0].alphabet
-    return tuple(_from_chars(alphabet, m) for m in _closure(relators, alphabet))
 
 
 def _lcp(a: str, b: str) -> int:
@@ -156,7 +139,7 @@ def check_small_cancellation(p: Presentation, lam: Fraction | str | int) -> Canc
         raise ValueError("lambda must lie strictly between 0 and 1")
     # The longest common prefix of a member with any other is reached at a
     # neighbour in lexicographic order, so one sorted pass finds every piece.
-    ordered = sorted(_closure(p.relators, p.alphabet))
+    ordered = sorted(_closure(p.relators))
     best_piece, best_length = 0, 1  # the largest ratio so far, compared in integers
     witness: tuple[Word, Word] | None = None
     for a, b in zip(ordered, ordered[1:]):
@@ -175,9 +158,8 @@ def random_platform_group(
     rank: int,
     r_count: int,
     r_length: int,
-    lam: Fraction | str | int = ONE_SIXTH,
-    rng: Random | None = None,
-    max_attempts: int = 1000,
+    lam: Fraction | str | int,
+    rng: Random,
 ) -> Presentation:
     """Rejection-sample a presentation satisfying C'(lam).
 
@@ -187,28 +169,26 @@ def random_platform_group(
     then checks the cancellation condition.
     """
     lam = Fraction(lam)
-    if rng is None:
-        raise ValueError("an explicit rng is required")
     if r_length <= 6:
         raise ValueError("relator length must exceed 6")
-    if r_count < 1 or max_attempts < 1:
-        raise ValueError("r_count and max_attempts must be positive")
+    if r_count < 1:
+        raise ValueError("r_count must be positive")
     alphabet = Alphabet(rank)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         words = []
         for _ in range(r_count):
             w = random_reduced_word(r_length, alphabet, rng)
             while not w.is_cyclically_reduced():
                 w = random_reduced_word(r_length, alphabet, rng)
             words.append(w)
-        signatures = {_closure((w,), alphabet)[0] for w in words}
+        signatures = {_closure((w,))[0] for w in words}
         if len(signatures) < r_count:
             continue
         candidate = Presentation(alphabet, tuple(words))
         if check_small_cancellation(candidate, lam).satisfied:
             return candidate
     raise BudgetExhausted(
-        f"no C'({lam}) presentation found in {max_attempts} attempts "
+        f"no C'({lam}) presentation found in {_MAX_ATTEMPTS} attempts "
         f"(rank={rank}, relators={r_count}, length={r_length})"
     )
 
@@ -230,7 +210,7 @@ class _DehnIndex:
 
     def __init__(self, p: Presentation):
         tables: dict[int, dict[str, list[str]]] = {}
-        for member in _closure(p.relators, p.alphabet):
+        for member in _closure(p.relators):
             t = len(member) // 2 + 1
             tables.setdefault(t, {}).setdefault(member[:t], []).append(member)
         self.tables = {
@@ -320,7 +300,7 @@ def _dehn_verdict(p: Presentation, w: Word) -> bool:
     return not _dehn_scan(_dehn_index(p), w.chars)
 
 
-def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) -> DehnTrace:
+def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
     """Decide whether ``w`` equals the identity by Dehn reduction.
 
     Repeatedly scan the freely reduced current word for a subword u such
@@ -329,11 +309,9 @@ def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) ->
     word is trivial exactly when it shrinks to the empty word.  Scanning is
     deterministic: leftmost starting position first, then the longest match
     there.  Completeness of the verdict relies on the presentation being
-    C'(1/6), which callers assert (pass ``verify_condition=True`` to check).
+    C'(1/6), which callers check.
     """
     _check_alphabet(p, w)
-    if verify_condition and not check_small_cancellation(p, ONE_SIXTH).satisfied:
-        raise ValueError("presentation does not satisfy C'(1/6)")
     found: list[tuple[int, int, str]] = []
     chars = _dehn_scan(_dehn_index(p), w.chars, found)
     alphabet = p.alphabet
@@ -353,8 +331,7 @@ def dehn_is_trivial(p: Presentation, w: Word, verify_condition: bool = False) ->
 # constructing words equal / not equal to 1
 
 def _conjugated_product(
-    p: Presentation, factor_count: int, conj_length: int, rng: Random, max_attempts: int,
-    perturb: bool,
+    p: Presentation, factor_count: int, conj_length: int, rng: Random, perturb: bool,
 ) -> tuple[str, list[tuple[int, int, str]]]:
     """The one word construction behind both bit values: a random nonempty
     product ``prod h^-1 r^sign h`` of conjugated relators, packed, with its
@@ -377,7 +354,7 @@ def _conjugated_product(
         raise ValueError("no substitute letter exists over a rank-1 alphabet")
     signed = p._signed_chars
     getrandbits = rng.getrandbits
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         altered = _below(getrandbits, factor_count) if perturb else -1
         acc = ""
         certificate = []
@@ -396,47 +373,20 @@ def _conjugated_product(
         if acc:
             return acc, certificate
     raise BudgetExhausted(
-        f"conjugate products collapsed to the identity {max_attempts} times in a row"
+        f"conjugate products collapsed to the identity {_MAX_ATTEMPTS} times in a row"
     )
 
 
-def make_trivial_word_certified(
-    p: Presentation,
-    factor_count: int,
-    conj_length: int,
-    rng: Random,
-    max_attempts: int = 1000,
-) -> tuple[Word, tuple[tuple[int, int, Word], ...]]:
-    """Like :func:`make_trivial_word` but also return the certificate:
-    a tuple of (relator index, sign, conjugator) factors whose product
-    ``prod h^-1 r^sign h`` reduces to the returned word."""
-    chars, factors = _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)
-    certificate = tuple((idx, sign, _from_chars(p.alphabet, h)) for idx, sign, h in factors)
-    return _from_chars(p.alphabet, chars), certificate
-
-
-def make_trivial_word(
-    p: Presentation,
-    factor_count: int,
-    conj_length: int,
-    rng: Random,
-    max_attempts: int = 1000,
-) -> Word:
+def make_trivial_word(p: Presentation, factor_count: int, conj_length: int, rng: Random) -> Word:
     """Random nonempty product of conjugated relators; trivial by construction."""
-    chars = _conjugated_product(p, factor_count, conj_length, rng, max_attempts, False)[0]
+    chars = _conjugated_product(p, factor_count, conj_length, rng, False)[0]
     return _from_chars(p.alphabet, chars)
 
 
-def make_nontrivial_word(
-    p: Presentation,
-    factor_count: int,
-    conj_length: int,
-    rng: Random,
-    max_attempts: int = 1000,
-) -> Word:
+def make_nontrivial_word(p: Presentation, factor_count: int, conj_length: int, rng: Random) -> Word:
     """The :func:`make_trivial_word` product with one letter of one relator
     factor changed: never 1 on a C'(1/6) presentation; ValueError at rank 1."""
-    chars = _conjugated_product(p, factor_count, conj_length, rng, max_attempts, True)[0]
+    chars = _conjugated_product(p, factor_count, conj_length, rng, True)[0]
     return _from_chars(p.alphabet, chars)
 
 

@@ -24,7 +24,6 @@ from groupshare.freegroup import (
 )
 from groupshare.scheme import (
     SessionConfig,
-    WordParams,
     deal_nn,
     deal_tn,
     decode_column,
@@ -75,7 +74,6 @@ def _platform(rng: Random) -> Presentation:
 def test_01_all_participants_round_trip():
     """n in {2,3,5,8} x k in {8,64,256} x 20 seeds: deal, decode, XOR."""
     t0 = time.time()
-    words = WordParams()
     failures = []
     for n in (2, 3, 5, 8):
         for k in (8, 64, 256):
@@ -83,7 +81,7 @@ def test_01_all_participants_round_trip():
                 rng = Random(f"{SEED}-c1-{n}-{k}-{seed}")
                 groups = [_platform(rng) for _ in range(n)]
                 secret = tuple(rng.getrandbits(1) for _ in range(k))
-                columns = deal_nn(secret, groups, words, rng)
+                columns = deal_nn(secret, groups, rng)
                 decoded = [decode_column(c, g) for c, g in zip(columns, groups)]
                 if recover_secret_nn(decoded) != secret:
                     failures.append((n, k, seed))
@@ -407,7 +405,7 @@ def test_10_ngram_guess_reads_no_share_bits():
     rng = Random(f"{SEED}-c10")
     groups = [_platform(rng) for _ in range(8)]
     secret = tuple(rng.getrandbits(1) for _ in range(256))
-    columns = deal_nn(secret, groups, WordParams(), rng)
+    columns = deal_nn(secret, groups, rng)
     right = total = 0
     for column, g in zip(columns, groups):
         letters = [w.letters for w in column.words]

@@ -122,6 +122,41 @@ def test_nn_deal_is_deterministic(tmp_path, capsys):
     assert tree_bytes(tmp_path / "one") == tree_bytes(tmp_path / "two")
 
 
+# SHA-256 of whole session trees (secure/, open/, manifest, transcripts/)
+# after a seeded deal and a secure-sum recovery.  Same-run determinism is
+# tested above; these digests pin the bytes that --seed gives from one
+# version to the next.
+PINNED_SESSIONS = {
+    "nn": (
+        ["--mode", "nn", "--secret", "c0ffee", "--n", "3", "--seed", "7"],
+        "1,2,3",
+        "31927381f84126fe36a1a00e6bd4a5a35ddbad52037ccd95808b4fc4d98af38d",
+    ),
+    "tn": (
+        ["--mode", "tn", "--secret", "4242", "--n", "5", "--t", "3", "--p", "8191",
+         "--seed", "7"],
+        "1,3,5",
+        "485d875c000e575b9dff828afedde3a2a38fdeff1ea32090e2c27e49add471e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_SESSIONS))
+def test_seeded_session_bytes_are_pinned(tmp_path, capsys, mode):
+    deal, participants, digest = PINNED_SESSIONS[mode]
+    session = tmp_path / "s"
+    assert run(capsys, "deal", *deal, "--session-dir", str(session))[0] == 0
+    assert run(capsys, "recover", "--session-dir", str(session),
+               "--participants", participants, "--secure-sum")[0] == 0
+    files = tree_bytes(session)
+    assert {name.split("/")[0] for name in files} == {"secure", "open", "manifest",
+                                                      "transcripts"}
+    h = hashlib.sha256()
+    for name, data in files.items():
+        h.update(f"{name}\0{len(data)}\0".encode() + data)
+    assert h.hexdigest() == digest
+
+
 def test_nn_secure_sum_recovery_writes_transcript(tmp_path, capsys):
     session = tmp_path / "s"
     run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",

@@ -28,3 +28,30 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"groupshare.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, f"{alias.name} not in {node.module}.__all__"
+
+
+# The package's public surface, spelled out so that every change to it shows
+# in a diff of this file.
+EXPORTED = {
+    "Alphabet", "BitColumn", "BreakdownResult", "BudgetExhausted", "CancellationReport",
+    "DehnStep", "DehnTrace", "Message", "Polynomial", "Presentation", "PrimeModulus",
+    "PrivacyAudit", "SessionConfig", "SharePoint", "T1Intro", "T4Replace", "Transcript",
+    "Word", "WordColumn", "break_relators", "check_small_cancellation", "column_to_int",
+    "cyclic_permutations", "cyclically_reduce", "deal_nn", "deal_tn", "decode_column",
+    "dehn_is_trivial", "encode_column", "expand_word", "export_transcript", "int_to_column",
+    "interpolate_at_zero", "is_prime", "lagrange_coefficients", "make_nontrivial_word",
+    "make_trivial_word", "parse_presentation", "parse_word", "poly_eval",
+    "random_platform_group", "random_polynomial", "random_reduced_word", "recover_secret_nn",
+    "recover_share", "replay", "run_secure_linear_combination", "run_secure_sum",
+    "serialize_breakdown", "serialize_presentation", "serialize_word", "split_secret",
+    "transcript_privacy_audit",
+}
+
+
+def test_package_exports_exactly_the_listed_names():
+    tree = ast.parse(Path(groupshare.__file__).read_text())
+    names = [alias.asname or alias.name
+             for node in tree.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert len(names) == len(EXPORTED) == 53
+    assert set(names) == EXPORTED

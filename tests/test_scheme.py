@@ -8,7 +8,6 @@ from groupshare.freegroup import Word, serialize_word
 from groupshare.scheme import (
     SessionConfig,
     WordColumn,
-    WordParams,
     column_to_int,
     deal_nn,
     deal_tn,
@@ -20,8 +19,6 @@ from groupshare.scheme import (
     split_secret,
 )
 from groupshare.shamir import PrimeModulus, SharePoint, interpolate_at_zero
-
-FAST_WORDS = WordParams(min_factors=1, max_factors=2, min_conj=1, max_conj=4)
 
 bit_columns = st.lists(st.integers(0, 1), min_size=1, max_size=48).map(tuple)
 
@@ -94,13 +91,13 @@ def test_int_column_round_trip_exhaustive():
 
 def test_encode_all_ones_decodes_all_ones(platform_group):
     rng = Random(11)
-    wc = encode_column((1,) * 6, platform_group, FAST_WORDS, rng)
+    wc = encode_column((1,) * 6, platform_group, rng)
     assert decode_column(wc, platform_group) == (1,) * 6
 
 
 def test_encode_all_zeros_decodes_all_zeros(platform_group):
     rng = Random(12)
-    wc = encode_column((0,) * 6, platform_group, FAST_WORDS, rng)
+    wc = encode_column((0,) * 6, platform_group, rng)
     assert decode_column(wc, platform_group) == (0,) * 6
 
 
@@ -108,7 +105,7 @@ def test_encode_decode_round_trip_random_shares(platform_group):
     rng = Random(13)
     for _ in range(20):
         share = tuple(rng.getrandbits(1) for _ in range(10))
-        wc = encode_column(share, platform_group, FAST_WORDS, rng)
+        wc = encode_column(share, platform_group, rng)
         assert decode_column(wc, platform_group) == share
 
 
@@ -126,8 +123,8 @@ def test_decode_single_letters_are_zeros(platform_group):
 
 def test_word_lengths_carry_no_bit_information(platform_group):
     rng = Random(17)
-    ones = encode_column((1,) * 150, platform_group, FAST_WORDS, rng)
-    zeros = encode_column((0,) * 150, platform_group, FAST_WORDS, rng)
+    ones = encode_column((1,) * 150, platform_group, rng)
+    zeros = encode_column((0,) * 150, platform_group, rng)
     a = sorted(len(w) for w in ones.words)
     b = sorted(len(w) for w in zeros.words)
     # two-sample Kolmogorov-Smirnov distance
@@ -152,7 +149,7 @@ def test_word_lengths_carry_no_bit_information(platform_group):
 def test_deal_nn_round_trip(platform_groups):
     rng = Random(19)
     secret = tuple(rng.getrandbits(1) for _ in range(16))
-    columns = deal_nn(secret, platform_groups, FAST_WORDS, rng)
+    columns = deal_nn(secret, platform_groups, rng)
     assert [c.group_hint for c in columns] == [1, 2, 3]
     decoded = [decode_column(c, g) for c, g in zip(columns, platform_groups)]
     assert recover_secret_nn(decoded) == secret
@@ -167,7 +164,7 @@ def test_session_config_validation():
     with pytest.raises(ValueError):
         SessionConfig(n=3, t=2, k=3, p=PrimeModulus(11))  # k below bit length
     with pytest.raises(ValueError):
-        SessionConfig(n=3, t=2, k=0)
+        SessionConfig(n=3, t=2, k=0, p=PrimeModulus(11))
 
 
 def test_deal_tn_any_threshold_subset_recovers(platform_groups):
@@ -177,7 +174,7 @@ def test_deal_tn_any_threshold_subset_recovers(platform_groups):
     cfg = SessionConfig(n=3, t=2, k=4, p=p)
     rng = Random(23)
     secret = 5
-    columns = deal_tn(secret, cfg, platform_groups, rng, FAST_WORDS)
+    columns = deal_tn(secret, cfg, platform_groups, rng)
     points = [recover_share(c, g, 11) for c, g in zip(columns, platform_groups)]
     assert [pt.index for pt in points] == [1, 2, 3]
     for subset in combinations(points, 2):
@@ -189,7 +186,7 @@ def test_word_columns_carry_known_polynomial_values(platform_groups):
     rng = Random(41)
     values = (10, 8, 10)
     columns = [
-        encode_column(int_to_column(y, 4), g, FAST_WORDS, rng, group_hint=j)
+        encode_column(int_to_column(y, 4), g, rng, group_hint=j)
         for j, (y, g) in enumerate(zip(values, platform_groups), start=1)
     ]
     points = [recover_share(c, g, 11) for c, g in zip(columns, platform_groups)]
@@ -200,15 +197,13 @@ def test_word_columns_carry_known_polynomial_values(platform_groups):
 def test_deal_tn_threshold_one_sends_secret_to_everyone(platform_groups):
     p = PrimeModulus(11)
     cfg = SessionConfig(n=3, t=1, k=4, p=p)
-    columns = deal_tn(7, cfg, platform_groups, Random(29), FAST_WORDS)
+    columns = deal_tn(7, cfg, platform_groups, Random(29))
     for c, g in zip(columns, platform_groups):
         assert recover_share(c, g, 11).value == 7
 
 
 def test_deal_tn_validates(platform_groups):
     cfg = SessionConfig(n=3, t=2, k=4, p=PrimeModulus(11))
-    with pytest.raises(ValueError):
-        deal_tn(5, SessionConfig(n=3, t=2, k=4), platform_groups, Random(0))
     with pytest.raises(ValueError):
         deal_tn(5, cfg, platform_groups[:2], Random(0))
 
@@ -223,7 +218,7 @@ def test_recover_share_flags_out_of_range_value(platform_group):
 def test_wrong_group_does_not_decode(platform_groups):
     rng = Random(31)
     share = tuple(rng.getrandbits(1) for _ in range(12))
-    wc = encode_column(share, platform_groups[0], FAST_WORDS, rng, group_hint=1)
+    wc = encode_column(share, platform_groups[0], rng, group_hint=1)
     assert decode_column(wc, platform_groups[0]) == share
     assert decode_column(wc, platform_groups[1]) != share
 

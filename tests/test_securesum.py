@@ -11,9 +11,10 @@ from groupshare.securesum import (
     RING,
     _ModPDomain,
     _XorDomain,
+    _payload_sequence,
     _run_ring,
+    _wrap_messages,
     export_transcript,
-    replay_transcript,
     run_secure_linear_combination,
     run_secure_sum,
     transcript_privacy_audit,
@@ -83,7 +84,8 @@ def test_transcript_structure():
 def test_replay_determinism():
     inputs = random_columns(Random(9), 5, 6)
     _, tr = run_secure_sum(inputs, Random(10))
-    assert replay_transcript(tr) == tr
+    payloads = _payload_sequence(_XorDomain(6), tr.coefficients, tr.inputs, tr.masks)
+    assert _wrap_messages(tr.n, payloads) == tr.messages
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from groupshare.freegroup import (
     Alphabet,
     Word,
-    conjugate,
+    _from_chars,
     cyclic_permutations,
     cyclically_reduce,
     parse_word,
     random_reduced_word,
     serialize_word,
 )
-from groupshare.smallcancel import Presentation, random_platform_group
-from groupshare.smallcancel import make_trivial_word_certified
+from groupshare.smallcancel import Presentation, _conjugated_product, random_platform_group
 from groupshare.tietze import (
     BreakdownResult,
     T1Intro,
@@ -200,7 +199,9 @@ def word_arithmetic(p, move):
         replacement = relators[move.other] * r
     else:
         x = Word(p.alphabet, [move.generator])
-        replacement = conjugate(r, x if move.variant == "x^-1 r_i x" else x.inverse())
+        if move.variant == "x r_i x^-1":
+            x = x.inverse()
+        replacement = x.inverse() * r * x
     relators[move.relator] = cyclically_reduce(replacement)
     if not relators[move.relator]:
         return None
@@ -539,10 +540,11 @@ def test_trivial_word_transport_through_breakdown():
     ]
     links = [conjugator_linking(e, r) for e, r in zip(expanded, p.relators)]
     for _ in range(8):
-        w, certificate = make_trivial_word_certified(p, 3, 4, rng)
+        chars, certificate = _conjugated_product(p, 3, 4, rng, False)
+        w = _from_chars(p.alphabet, chars)
         rebuilt = Word(p.alphabet, [])
         for idx, sign, h in certificate:
             body = expanded[idx] if sign > 0 else expanded[idx].inverse()
-            d = links[idx] * h
+            d = links[idx] * _from_chars(p.alphabet, h)
             rebuilt = rebuilt * (d.inverse() * body * d)
         assert rebuilt == w
