@@ -24,7 +24,7 @@ import hmac
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from random import Random
 
@@ -66,6 +66,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Built on first use and kept: ``main`` runs many times in one process (the
+# tests, the benchmark), and building the parser costs about a millisecond.
+# Each subcommand names its handler, which ``main`` looks up in this module at
+# call time, so a handler replaced on the module is the one that runs.
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="groupshare")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,7 +82,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--lambda", dest="lam", default="1/6")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(handler=cmd_gen_group)
+    gen.set_defaults(handler="cmd_gen_group")
 
     deal = sub.add_parser("deal", help="deal a secret into a session directory")
     deal.add_argument("--mode", choices=("nn", "tn"), required=True)
@@ -92,7 +97,7 @@ def _build_parser() -> _Parser:
     deal.add_argument("--lambda", dest="lam", default="1/6")
     deal.add_argument("--seed", type=int, default=0)
     deal.add_argument("--session-dir", required=True)
-    deal.set_defaults(handler=cmd_deal)
+    deal.set_defaults(handler="cmd_deal")
 
     rec = sub.add_parser("recover", help="recover a secret from a session directory")
     rec.add_argument("--session-dir", required=True)
@@ -101,17 +106,17 @@ def _build_parser() -> _Parser:
     rec.add_argument("--secure-sum", action="store_true",
                      help="recombine through the masked ring and write a transcript")
     rec.add_argument("--seed", type=int, default=0)
-    rec.set_defaults(handler=cmd_recover)
+    rec.set_defaults(handler="cmd_recover")
 
     brk = sub.add_parser("tietze-break", help="break relators down to length <= 3")
     brk.add_argument("--in", dest="infile", required=True)
     brk.add_argument("--out", required=True)
-    brk.set_defaults(handler=cmd_tietze_break)
+    brk.set_defaults(handler="cmd_tietze_break")
 
     ins = sub.add_parser("inspect", help="inspect a presentation or decide a word")
     ins.add_argument("--in", dest="infile", required=True)
     ins.add_argument("--word", default=None)
-    ins.set_defaults(handler=cmd_inspect)
+    ins.set_defaults(handler="cmd_inspect")
 
     return parser
 
@@ -407,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.handler(args)
+        globals()[args.handler](args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

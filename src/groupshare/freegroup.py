@@ -96,13 +96,13 @@ def _invert_chars(chars: str) -> str:
 
 def _merge_chars(a: str, b: str) -> str:
     """Concatenate two reduced strings, cancelling across the seam only."""
-    cut = 0
+    if not a or not b or ord(a[-1]) ^ 1 != ord(b[0]):
+        return a + b
+    cut = 1
     limit = min(len(a), len(b))
     while cut < limit and ord(a[-1 - cut]) ^ 1 == ord(b[cut]):
         cut += 1
-    if cut:
-        return a[:-cut] + b[cut:] if cut < len(a) else b[cut:]
-    return a + b
+    return a[:-cut] + b[cut:]
 
 
 def _reduce_chars(chars: Iterable[str]) -> str:
@@ -220,12 +220,18 @@ def _random_chars(length: int, rank: int, getrandbits: Callable[[int], int]) -> 
     """Packed uniform non-backtracking word of ``length`` letters."""
     if not length:
         return ""
-    codes = [_below(getrandbits, 2 * rank) + 2]
+    code = _below(getrandbits, 2 * rank) + 2
+    codes = [code]
+    # ``_below(getrandbits, n)`` inlined: the bound is the same for every
+    # later letter, so the draws are too.
+    n = 2 * rank - 1
+    k = n.bit_length()
     for _ in range(length - 1):
-        pick = _below(getrandbits, 2 * rank - 1) + 2
-        if pick >= codes[-1] ^ 1:
-            pick += 1
-        codes.append(pick)
+        pick = getrandbits(k)
+        while pick >= n:
+            pick = getrandbits(k)
+        code = pick + 2 if pick + 2 < code ^ 1 else pick + 3
+        codes.append(code)
     return "".join(map(chr, codes))
 
 

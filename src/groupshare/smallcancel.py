@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, count
 from random import Random
 from typing import Iterable
 
@@ -214,25 +213,23 @@ class _DehnIndex:
             t = len(member) // 2 + 1
             tables.setdefault(t, {}).setdefault(member[:t], []).append(member)
         self.tables = {
-            t: {k: tuple(v) for k, v in table.items()} for t, table in tables.items()
+            t: {k: tuple(v) for k, v in tables[t].items()} for t in sorted(tables)
         }
-        self.thresholds = tuple(sorted(self.tables))
+        self.thresholds = tuple(self.tables)
 
     def leftmost(self, chars: str, start: int) -> int:
         """Least position >= ``start`` that opens a candidate, or -1."""
         found = -1
-        for t in self.thresholds:
+        for t, table in self.tables.items():
             stop = len(chars) - t + 1
-            if found >= 0:
-                stop = min(stop, found)
-            if stop <= start:
-                continue
-            # chars[i : i + t] for i in range(start, stop), looked up at C speed
-            windows = map(chars.__getitem__,
-                          map(slice, range(start, stop), range(start + t, stop + t)))
-            hit = next(compress(count(start), map(self.tables[t].__contains__, windows)), -1)
-            if hit >= 0:
-                found = hit
+            if 0 <= found < stop:
+                stop = found
+            # A hit is usually a few windows away, so a plain loop beats
+            # setting up a C-level iterator chain on every call.
+            for i in range(start, stop):
+                if chars[i : i + t] in table:
+                    found = i
+                    break
         return found
 
 
@@ -353,23 +350,46 @@ def _conjugated_product(
     if perturb and rank < 2:
         raise ValueError("no substitute letter exists over a rank-1 alphabet")
     signed = p._signed_chars
+    relator_count = len(signed)
+    k = relator_count.bit_length()
     getrandbits = rng.getrandbits
     for _ in range(_MAX_ATTEMPTS):
         altered = _below(getrandbits, factor_count) if perturb else -1
         acc = ""
         certificate = []
         for i in range(factor_count):
-            idx = _below(getrandbits, len(signed))
-            sign = 1 if _below(getrandbits, 2) == 0 else -1
+            # ``_below`` inlined for the relator index and the sign, whose
+            # bounds hold for the whole call: the same draws in the same order.
+            idx = getrandbits(k)
+            while idx >= relator_count:
+                idx = getrandbits(k)
+            inverted = getrandbits(2)
+            while inverted >= 2:
+                inverted = getrandbits(2)
             h = _random_chars(conj_length, rank, getrandbits)
-            r = signed[idx][sign < 0]
+            r = signed[idx][inverted]
             if i == altered:
                 pos = _below(getrandbits, len(r))
                 banned = (ord(r[pos]), ord(r[pos - 1]) ^ 1, ord(r[(pos + 1) % len(r)]) ^ 1)
                 subs = [code for code in range(2, 2 * rank + 2) if code not in banned]
                 r = r[:pos] + chr(subs[_below(getrandbits, len(subs))]) + r[pos + 1 :]
-            acc = _merge_chars(acc, _merge_chars(_merge_chars(_invert_chars(h), r), h))
-            certificate.append((idx, sign, h))
+            h_inv = _invert_chars(h)
+            if 2 * len(h) < len(r):
+                # r (even the altered one) is cyclically reduced, so h cancels
+                # into at most one end of it, and never through it.
+                cut = 0
+                while cut < len(h) and h[cut] == r[cut]:
+                    cut += 1
+                if cut:
+                    conjugate = h_inv[:-cut] + r[cut:] + h
+                else:
+                    while cut < len(h) and ord(h[cut]) ^ 1 == ord(r[-1 - cut]):
+                        cut += 1
+                    conjugate = h_inv + r[: len(r) - cut] + h[cut:]
+            else:
+                conjugate = _merge_chars(_merge_chars(h_inv, r), h)
+            acc = _merge_chars(acc, conjugate)
+            certificate.append((idx, -1 if inverted else 1, h))
         if acc:
             return acc, certificate
     raise BudgetExhausted(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupshare import cli
 from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
 from groupshare.freegroup import parse_word
 from groupshare.smallcancel import check_small_cancellation, dehn_is_trivial, parse_presentation
@@ -63,6 +64,48 @@ def test_gen_group_impossible_parameters_exhaust_budget(tmp_path, capsys):
         "--out", str(tmp_path / "x"),
     )
     assert code == 3 and "attempts" in err
+
+
+def test_main_runs_the_handler_the_module_holds_now(tmp_path, capsys, monkeypatch):
+    # the parser outlives a call, so it must name its handlers, not hold them:
+    # a handler replaced on the module after the first call is the one that runs
+    session = str(tmp_path / "s")
+    run(capsys, "deal", "--mode", "nn", "--secret", "ab", "--n", "2", "--session-dir", session)
+    assert run(capsys, "recover", "--session-dir", session, "--participants", "1,2")[:2] == (0, "ab\n")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_recover", seen.append)
+    assert run(capsys, "recover", "--session-dir", session, "--participants", "2,1")[:2] == (0, "")
+    assert [args.participants for args in seen] == ["2,1"]
+
+
+def test_calls_in_a_row_share_no_parsed_state(capsys, monkeypatch):
+    # each call parses as a parser built for it alone would, options left
+    # out of a later call included, even after a call that failed to parse
+    seen = []
+    for name in ("cmd_gen_group", "cmd_deal", "cmd_recover", "cmd_tietze_break", "cmd_inspect"):
+        monkeypatch.setattr(cli, name, seen.append)
+    calls = [
+        ["deal", "--mode", "tn", "--secret", "5", "--n", "3", "--t", "2", "--p", "11",
+         "--rank", "4", "--seed", "9", "--session-dir", "a"],
+        ["deal", "--mode", "nn", "--secret", "ab", "--n", "2", "--session-dir", "b"],
+        ["recover", "--session-dir", "b", "--participants", "1,2", "--secure-sum", "--seed", "3"],
+        ["recover", "--session-dir", "b", "--participants", "1"],
+        ["inspect", "--in", "g", "--word", "x1"],
+        ["inspect", "--bogus"],
+        ["inspect", "--in", "g"],
+        ["gen-group", "--out", "g", "--lambda", "1/7"],
+        ["tietze-break", "--in", "g", "--out", "h"],
+        ["gen-group", "--out", "g"],
+    ]
+    fresh = [cli._build_parser.__wrapped__() for _ in calls]
+    expected = []
+    for argv, parser in zip(calls, fresh):
+        code, _, _ = run(capsys, *argv)
+        if code == 0:
+            expected.append(vars(parser.parse_args(argv)))
+    assert [vars(args) for args in seen] == expected
+    assert len(expected) == len(calls) - 1
+    assert len({id(args) for args in seen}) == len(seen)
 
 
 def test_unknown_flags_are_usage_errors(capsys):

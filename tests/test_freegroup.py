@@ -2,12 +2,15 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from groupshare.freegroup import (
     _FLIP,
     _SERIALIZE,
+    _invert_chars,
+    _merge_chars,
+    _reduce_chars,
     Alphabet,
     Word,
     cyclic_permutations,
@@ -91,6 +94,39 @@ def test_concat_examples():
     w = Word(A3, [1, -3, 2])
     assert w * Word(A3, []) == w
     assert not Word(A3, [1]) * Word(A3, [-1])
+
+
+@st.composite
+def seam_pairs(draw):
+    """Two reduced packed strings over ranks 1-20: a, and b reduced from
+    the inverse of the last 0 to |a| letters of a followed by free letters,
+    so the seam cancels nothing, part of either string, or all of one or
+    both."""
+    alphabet = Alphabet(draw(st.integers(1, 20)))
+    letters = st.lists(st.integers(-alphabet.rank, alphabet.rank).filter(bool), max_size=12)
+    a = Word(alphabet, draw(letters)).chars
+    cut = draw(st.integers(0, len(a)))
+    tail = Word(alphabet, draw(letters)).chars
+    return a, _reduce_chars(_invert_chars(a[len(a) - cut :]) + tail)
+
+
+SEAM = Word(A3, [1, 2, -3, 2]).chars
+SEAM_INVERSE = _invert_chars(SEAM)
+
+
+# nothing to merge, full cancellation, cancellation that uses up b or a,
+# and seam letters that do not cancel (the pairs are also tried reversed)
+@given(seam_pairs())
+@example(("", ""))
+@example((SEAM, ""))
+@example((SEAM, SEAM_INVERSE))
+@example((SEAM, SEAM_INVERSE[:2]))
+@example((SEAM[:2], SEAM_INVERSE))
+@example((SEAM, Word(A3, [3, 1]).chars))
+def test_merge_matches_reducing_the_concatenation(pair):
+    a, b = pair
+    assert _merge_chars(a, b) == _reduce_chars(a + b)
+    assert _merge_chars(b, a) == _reduce_chars(b + a)
 
 
 def test_concat_rejects_alphabet_mismatch():

@@ -511,6 +511,41 @@ def test_verdict_scan_matches_the_traced_and_naive_verdicts(platform_group, kind
         assert verdict is dehn_is_trivial(q, w).is_trivial is naive_dehn(q, w).is_trivial
 
 
+def opening_thresholds(p, chars):
+    """For each position of ``chars``, the prefix lengths t at which more
+    than half (t = |r| // 2 + 1 letters) of some symmetrized member r
+    starts there, found by trying every member prefix at every position."""
+    prefixes = {m[: len(m) // 2 + 1] for m in _closure(p.relators)}
+    return [sorted({len(u) for u in prefixes if chars.startswith(u, i)})
+            for i in range(len(chars))]
+
+
+def test_leftmost_matches_a_brute_force_at_every_start(platform_group):
+    rng = Random(109)
+    p = platform_group
+    cases = [(p, w) for w in encode_column([rng.randrange(2) for _ in range(6)], p, rng).words]
+    cases += [(p, random_reduced_word(rng.randrange(0, 70), p.alphabet, rng)) for _ in range(10)]
+    cases += [multi_threshold_case(rng) for _ in range(60)]
+    # leftmost scans the thresholds shortest first and stops each later scan
+    # at the hit it holds; count the later first hits that fall beyond that
+    # hit (cut off) and before it (taking its place)
+    cut_off = overtaken = 0
+    for q, w in cases:
+        index = _dehn_index(q)
+        opens = opening_thresholds(q, w.chars)
+        for start in range(len(w) + 3):
+            expected = next((i for i in range(start, len(w)) if opens[i]), -1)
+            assert index.leftmost(w.chars, start) == expected
+            firsts = {}
+            for i in range(start, len(w)):
+                for t in opens[i]:
+                    firsts.setdefault(t, i)
+            hits = [firsts[t] for t in sorted(firsts)]
+            cut_off += any(h > hits[0] for h in hits[1:])
+            overtaken += any(h < hits[0] for h in hits[1:])
+    assert cut_off and overtaken
+
+
 def test_decode_column_rejects_alphabet_mismatch(platform_group):
     column = WordColumn((Word(platform_group.alphabet, [1]), Word(A2, [1])), group_hint=1)
     with pytest.raises(ValueError, match="different alphabets"):
@@ -694,3 +729,33 @@ def test_word_construction_keeps_the_randrange_stream():
         column = encode_column(bits, p, ours)
         assert column.words == randrange_column(bits, p, theirs)
         assert ours.getstate() == theirs.getstate()
+
+
+def test_conjugates_keep_the_randrange_stream_on_both_sides_of_the_seam_guard():
+    # h^-1 r h is built from its one seam cut only when 2|h| < |r|; relators
+    # of 7-16 letters with conjugators of 0-10 put words on both sides of
+    # that guard, with h cancelling into the head of r, its tail, or neither.
+    # At rank 1 a long enough h = x^j starts with all of r = x^L.
+    setup = Random(113)
+    ours, theirs = Random(127), Random(127)
+    seen = set()
+    for rank in (1, 2, 3, 5):
+        for length in range(7, 17):
+            relators = []
+            for _ in range(2):
+                r = random_reduced_word(length, Alphabet(rank), setup)
+                while not r.is_cyclically_reduced():
+                    r = random_reduced_word(length, Alphabet(rank), setup)
+                relators.append(r)
+            p = Presentation(Alphabet(rank), tuple(relators))
+            for conj in range(11):
+                for bit in (1, 0) if rank > 1 else (1,):
+                    chars, certificate = _conjugated_product(p, 3, conj, ours, not bit)
+                    assert chars == randrange_product(p, 3, conj, theirs, not bit).chars
+                    assert ours.getstate() == theirs.getstate()
+                    for idx, sign, h in certificate:
+                        r = p._signed_chars[idx][sign < 0]
+                        seam = "head" if h[:1] == r[:1] else (
+                            "tail" if h and ord(h[0]) ^ 1 == ord(r[-1]) else "none")
+                        seen.add((2 * conj < length, seam))
+    assert seen == {(guard, seam) for guard in (True, False) for seam in ("head", "tail", "none")}
