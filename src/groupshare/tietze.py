@@ -5,21 +5,22 @@ relators all have length at most 3.  Long relators leak structure through
 the over-half subwords that trivial words must contain; after breaking,
 every relator is too short to be distinctive.
 
-Breaking works on packed relator strings and writes the equivalent list
-of elementary Tietze moves as a by-product: T1, which introduces a
-generator together with its defining relator, and T4', which replaces one
-relator by a variant of it that generates the same normal closure.
-:func:`replay` applies such a list move by move and is the check that the
-rewrite is an isomorphism.
+Breaking works on packed relator strings and logs each splice.  The
+equivalent list of elementary Tietze moves is worked out from that log on
+first read of ``BreakdownResult.moves``: T1, which introduces a generator
+together with its defining relator, and T4', which replaces one relator by
+a variant of it that generates the same normal closure.  The CLI never
+reads the list; :func:`replay` applies it move by move and is the check
+that the rewrite is an isomorphism.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
+from itertools import chain, compress, tee
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .freegroup import (
     Alphabet,
@@ -73,14 +74,22 @@ class BreakdownResult:
     """Outcome of :func:`break_relators`.
 
     ``definitions`` maps each introduced generator index to its defining
-    word over strictly earlier generators, in introduction order;
-    ``moves`` is the whole rewrite as elementary moves, which
-    :func:`replay` takes from the input presentation to ``presentation``.
+    word over strictly earlier generators, in introduction order.
+    ``splices`` logs the rewrite, one ``(g, i, before, inverse)`` per
+    splice: generator g took the place of its pair, or with ``inverse`` g^-1
+    of the pair's inverse, in relator i after the packed letters ``before``.
+    ``moves`` is the whole rewrite as elementary moves, which :func:`replay`
+    takes from the input presentation to ``presentation``; it is worked out
+    from the log on first read and kept.
     """
 
     presentation: Presentation
     definitions: dict[int, Word]
-    moves: tuple[TietzeMove, ...]
+    splices: tuple[tuple[int, int, str, bool], ...]
+
+    @cached_property
+    def moves(self) -> tuple[TietzeMove, ...]:
+        return _splice_moves(self)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +168,6 @@ def _pair_class(pair: str) -> str:
     return min(pair, _invert_chars(pair))
 
 
-def _most_frequent_pair(relators: Sequence[str], classes: Callable[[str], str]) -> str:
-    """Adjacent pair class (up to inversion) with the most occurrences in
-    overlong packed relators; ties go to the class seen first.  ``classes``
-    is :func:`_pair_class`, memoised."""
-    counts: Counter[str] = Counter()
-    for s in relators:
-        if len(s) >= 4:
-            counts.update(map(classes, map(add, s, s[1:])))
-    # counts is in first-seen order, and max keeps the first of equals
-    return max(counts, key=counts.__getitem__)
-
-
 def break_relators(p: Presentation) -> BreakdownResult:
     """Rewrite ``p`` into an isomorphic presentation whose relators all have
     length at most 3.
@@ -182,70 +179,117 @@ def break_relators(p: Presentation) -> BreakdownResult:
     absorbed into g (or g^-1), leftmost first, shortening the relator by
     one letter per occurrence.  Choosing the most frequent pair keeps the
     total length of the output close to the input total; relators already
-    of length <= 3 pass through untouched.
+    of length <= 3 pass through untouched.  Pairs are counted up to
+    inversion; of equally frequent pairs the one seen first wins, reading
+    relators by index and each from left to right.
 
     The rewrite splices packed relator strings, and nothing cancels: g next
     to g^-1 would mean that the input held x_i x_j x_j^-1 x_i^-1 or its
     inverse, which a cyclically reduced relator does not.  Every new
     adjacency holds the newest letter, so an absorbed pair never reappears
     in an overlong relator, and every round defines a fresh generator.
-    ``moves`` is written alongside, as the T1 and T4' moves
-    that carry out each splice: the relator is rotated left past the
-    letters before the occurrence, multiplied on the left by a conjugate of
-    the defining relator, and rotated back.  It is a by-product, not what
-    the output is computed from; the tests replay it to the output as the
+    The pair counts are taken once and then kept up to date at each
+    splice, which only changes the adjacencies around the spliced pair.
+
+    Each splice is logged, and ``moves`` is worked out from that log on
+    first read: the T1 and T4' moves that carry out each splice, where the
+    relator is rotated left past the letters before the occurrence,
+    multiplied on the left by a conjugate of the defining relator, and
+    rotated back.  The output is not computed from the moves, and the CLI
+    never reads them; the tests replay them to the output as the
     isomorphism certificate.
     """
     relators = [r.chars for r in p.relators]  # rewritten in place
     defining: list[str] = []  # g^-1 a b per generator, appended after them
     rank = p.alphabet.rank
-    moves: list[TietzeMove] = []
     definitions: dict[int, Word] = {}
-    # Memoised per call, so that map() over them runs at C speed: moves
-    # are values, so each rotation is built once.
+    splices: list[tuple[int, int, str, bool]] = []
+    # Memoised per call, so that map() over it runs at C speed.
     classes = cache(_pair_class)
-    rotations = [
-        (cache(partial(_rotation, idx, False)), cache(partial(_rotation, idx, True)))
-        for idx in range(len(relators))
-    ]
-    while max(map(len, relators), default=0) >= 4:
-        pair = _most_frequent_pair(relators, classes)
-        # T1 appends g b^-1 a^-1; inverting it and conjugating by g gives
-        # the defining relator q = g^-1 a b
+
+    # pair class -> occurrences in overlong relators; empty once none is left
+    counts: dict[str, int] = {}
+
+    def pair_classes(s: str) -> Iterator[str]:
+        return map(classes, map(add, s, s[1:]))
+
+    def count(s: str, step: int) -> None:
+        for c in pair_classes(s):
+            n = counts.get(c, 0) + step
+            if n:
+                counts[c] = n
+            else:
+                del counts[c]
+
+    for s in relators:
+        if len(s) >= 4:
+            count(s, 1)
+    while counts:
+        # the first pair in scan order whose class has the top count
+        top = max(counts.values())
+        scan, again = tee(chain.from_iterable(pair_classes(s) for s in relators if len(s) >= 4))
+        pair = next(compress(scan, map(top.__eq__, map(counts.__getitem__, again))))
         definition = _from_chars(Alphabet(rank), pair)
         rank = g = rank + 1
-        q = len(relators) + len(defining)
         defining.append(chr(2 * g + 1) + pair)
         definitions[g] = definition
-        invert = T4Replace(q, "r_i^-1")
-        conjugate_by_g = T4Replace(q, "x^-1 r_i x", generator=g)
-        moves += (T1Intro(definition), invert, conjugate_by_g)
-        # q r turns a leading b^-1 a^-1 into g^-1; turned into g b^-1 a^-1
-        # for the product and back, q turns a leading a b into g
-        turn = [invert, T4Replace(q, "x r_i x^-1", generator=g)]
-        unturn = [conjugate_by_g, invert]
         inverse_pair = _invert_chars(pair)
-        for idx, (left, right) in enumerate(rotations):
-            r = relators[idx]
+        for idx, r in enumerate(relators):
             while len(r) >= 4:
                 direct, inverted = r.find(pair), r.find(inverse_pair)
                 # leftmost first, the pair before its inverse at one place
                 # (which cannot happen: a reduced pair is not its inverse)
                 if direct >= 0 and (inverted < 0 or direct <= inverted):
-                    pos, head = direct, chr(2 * g)
-                    product = [*turn, T4Replace(idx, "r_j r_i", other=q), *unturn]
+                    pos, head, inverse = direct, chr(2 * g), False
                 elif inverted >= 0:
-                    pos, head = inverted, chr(2 * g + 1)
-                    product = [T4Replace(idx, "r_j r_i", other=q)]
+                    pos, head, inverse = inverted, chr(2 * g + 1), True
                 else:
                     break
-                moves += map(left, r[:pos])
-                moves += product
-                moves += map(right, reversed(r[:pos]))
-                r = relators[idx] = r[:pos] + head + r[pos + 2 :]
+                before = r[:pos]
+                splices.append((g, idx, before, inverse))
+                # the pairs on and beside the spliced one leave the count,
+                # and all of them when the relator drops to 3 letters
+                lo = max(pos - 1, 0)
+                count(r if len(r) == 4 else r[lo : pos + 3], -1)
+                r = relators[idx] = before + head + r[pos + 2 :]
+                if len(r) >= 4:
+                    count(r[lo : pos + 2], 1)
     alphabet = Alphabet(rank)
     out = tuple(_from_chars(alphabet, r) for r in relators + defining)
-    return BreakdownResult(Presentation(alphabet, out), definitions, tuple(moves))
+    return BreakdownResult(Presentation(alphabet, out), definitions, tuple(splices))
+
+
+def _splice_moves(result: BreakdownResult) -> tuple[TietzeMove, ...]:
+    """The T1 and T4' moves that carry out ``result.splices`` in order."""
+    defined = len(result.definitions)
+    base = result.presentation.alphabet.rank - defined
+    inputs = len(result.presentation.relators) - defined
+    # Memoised per call, so that map() over them runs at C speed: moves
+    # are values, so each rotation is built once.
+    rotations = [
+        (cache(partial(_rotation, idx, False)), cache(partial(_rotation, idx, True)))
+        for idx in range(inputs)
+    ]
+    moves: list[TietzeMove] = []
+    current = None
+    for g, idx, before, inverse in result.splices:
+        if g != current:
+            # T1 appends g b^-1 a^-1; inverting it and conjugating by g gives
+            # the defining relator q = g^-1 a b
+            current, q = g, inputs + g - base - 1
+            invert = T4Replace(q, "r_i^-1")
+            conjugate_by_g = T4Replace(q, "x^-1 r_i x", generator=g)
+            moves += (T1Intro(result.definitions[g]), invert, conjugate_by_g)
+            # q r turns a leading b^-1 a^-1 into g^-1; turned into g b^-1 a^-1
+            # for the product and back, q turns a leading a b into g
+            turn = (invert, T4Replace(q, "x r_i x^-1", generator=g))
+            unturn = (conjugate_by_g, invert)
+        left, right = rotations[idx]
+        product = T4Replace(idx, "r_j r_i", other=q)
+        moves += map(left, before)
+        moves += (product,) if inverse else (*turn, product, *unturn)
+        moves += map(right, reversed(before))
+    return tuple(moves)
 
 
 def expand_word(

@@ -5,6 +5,7 @@ import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from groupshare import cli
 from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
 from groupshare.freegroup import parse_word
-from groupshare.smallcancel import check_small_cancellation, dehn_is_trivial, parse_presentation
+from groupshare.smallcancel import (
+    check_small_cancellation,
+    dehn_is_trivial,
+    parse_presentation,
+    random_platform_group,
+    serialize_presentation,
+)
 from groupshare.tietze import expand_word
 
 
@@ -589,6 +596,30 @@ def test_break_and_inspect_pipeline(tmp_path, capsys):
 
     code, out, _ = run(capsys, "inspect", "--in", str(grp))
     assert code == 0 and "satisfied True" in out
+
+
+# SHA-256 of the --out file and of stdout, per relator length L, for
+# random_platform_group(3, 3, L, "1/6", Random(L))
+PINNED_BREAKS = {
+    40: ("0a6a0a4a6489dfa2792318c3cc7e675f17e68b0b4358ad5f88d9d336798632cc",
+         "042f7e75268a65fa3d3edcdf83720655f3144e34fddcf29ed50d4fbec8399dbd"),
+    80: ("ed92de1b5da4d67372b9302791b5ece9a2a1bca2c4d6046594b1ebeae61cad6a",
+         "c1d9cd26d47e630b09d92c942603dc6a49cd40ddc92d4519421a047f39ab7474"),
+    120: ("eea0c50ae6be68f72243da24d8a47279b6442005ae6229e30983ef1e3d1f6f7a",
+          "e89222d3f81a762af90c0d4dffac2cb6fe900e61844e7c2b1436e04416f4cc29"),
+}
+
+
+@pytest.mark.parametrize("length", sorted(PINNED_BREAKS))
+def test_tietze_break_bytes_are_pinned(tmp_path, capsys, length):
+    grp, broken = tmp_path / "g.grp", tmp_path / "g.broken"
+    grp.write_text(serialize_presentation(random_platform_group(3, 3, length, "1/6",
+                                                                Random(length))))
+    code, out, _ = run(capsys, "tietze-break", "--in", str(grp), "--out", str(broken))
+    assert code == 0
+    digests = (hashlib.sha256(broken.read_bytes()).hexdigest(),
+               hashlib.sha256(out.encode()).hexdigest())
+    assert digests == PINNED_BREAKS[length]
 
 
 def test_inspect_word_verdicts(tmp_path, capsys):

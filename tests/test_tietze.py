@@ -1,10 +1,12 @@
+from dataclasses import replace
 from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groupshare import tietze
 from groupshare.freegroup import (
     Alphabet,
     Word,
@@ -17,7 +19,6 @@ from groupshare.freegroup import (
 )
 from groupshare.smallcancel import Presentation, _conjugated_product, random_platform_group
 from groupshare.tietze import (
-    BreakdownResult,
     T1Intro,
     T4Replace,
     break_relators,
@@ -307,6 +308,35 @@ def test_break_definitions_use_strictly_earlier_generators():
         assert all(abs(l) < g for l in definition.letters)
 
 
+def test_break_builds_moves_only_when_read(monkeypatch):
+    p = random_platform_group(3, 3, 40, "1/6", Random(40))
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls)
+            return cls(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(tietze, "T1Intro", counting(T1Intro))
+    monkeypatch.setattr(tietze, "T4Replace", counting(T4Replace))
+    result = break_relators(p)
+    assert built == []
+    serialize_breakdown(result)
+    assert built == []
+    moves = result.moves
+    assert {T1Intro, T4Replace} <= set(built)
+    count = len(built)
+    assert result.moves is moves
+    assert len(built) == count
+    monkeypatch.undo()
+    assert moves == break_relators(p).moves
+    # results whose moves differ are unequal
+    shorter = replace(result, splices=result.splices[:-1])
+    assert shorter.moves != moves and shorter != result
+
+
 def test_breakdown_serialization():
     result = break_relators(Presentation(A1, (power(A1, 1, 4),)))
     text = serialize_breakdown(result)
@@ -439,7 +469,12 @@ def reference_break(p):
             pair = canon
             g = breaker.define_pair(pair)
         breaker.absorb_pair_everywhere(g, pair)
-    return BreakdownResult(breaker.current, breaker.definitions, tuple(breaker.moves))
+    return breaker.current, breaker.definitions, tuple(breaker.moves)
+
+
+def outcome(result):
+    """What :func:`reference_break` returns, read off a break's result."""
+    return result.presentation, result.definitions, result.moves
 
 
 @st.composite
@@ -467,14 +502,28 @@ def breakable_presentations(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(breakable_presentations())
+# overlapping occurrences of the pair
+@example(Presentation(A1, (power(A1, 1, 9),)))
+# the pair and its inverse in one relator
+@example(Presentation(A2, (parse_word("x1 x2 x1 x2^-1 x1^-1 x2", A2),)))
+# relator 0 drops to 3 letters while relator 1 still holds the pair
+@example(Presentation(A3, (
+    parse_word("x1 x2 x3^-1 x2", A3),
+    parse_word("x1 x2 x1 x2 x3 x1 x2", A3),
+)))
+# every class occurs once: the first pair read wins, not the least class
+@example(Presentation(Alphabet(4), (
+    parse_word("x3 x1 x2 x4", Alphabet(4)),
+    parse_word("x4^-1 x2 x1^-1 x3", Alphabet(4)),
+)))
 def test_break_matches_move_by_move_reference(p):
-    assert break_relators(p) == reference_break(p)
+    assert outcome(break_relators(p)) == reference_break(p)
 
 
 @pytest.mark.parametrize("length", [40, 80, 120])
 def test_break_matches_reference_on_platform_groups(length):
     p = random_platform_group(3, 3, length, "1/6", Random(length))
-    assert break_relators(p) == reference_break(p)
+    assert outcome(break_relators(p)) == reference_break(p)
 
 
 # ---------------------------------------------------------------------------
