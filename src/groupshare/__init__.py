@@ -34,12 +34,10 @@ from .scheme import (
 )
 from .securesum import (
     Message,
-    PrivacyAudit,
     Transcript,
     export_transcript,
     run_secure_linear_combination,
     run_secure_sum,
-    transcript_privacy_audit,
 )
 from .shamir import (
     Polynomial,

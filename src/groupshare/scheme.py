@@ -15,6 +15,7 @@ word column the same way, and any t decoded values interpolate back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from random import Random
 from typing import Sequence
 
@@ -85,16 +86,24 @@ def _check_bits(c: Sequence[int]) -> BitColumn:
     return col
 
 
+def _check_columns(columns: Sequence[Sequence[int]]) -> list[BitColumn]:
+    cols = [_check_bits(c) for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("column width mismatch")
+    return cols
+
+
+def _xor(a: BitColumn, b: BitColumn) -> BitColumn:
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
 def split_secret(c: Sequence[int], n: int, rng: Random) -> list[BitColumn]:
     """XOR-split ``c`` into n columns: n - 1 uniform, the last a correction."""
     col = _check_bits(c)
     if n < 2:
         raise ValueError("need at least 2 participants to split")
     shares = [tuple(rng.getrandbits(1) for _ in col) for _ in range(n - 1)]
-    correction = list(col)
-    for s in shares:
-        correction = [a ^ b for a, b in zip(correction, s)]
-    shares.append(tuple(correction))
+    shares.append(reduce(_xor, shares, col))
     return shares
 
 
@@ -131,14 +140,7 @@ def recover_secret_nn(columns: Sequence[Sequence[int]]) -> BitColumn:
     """Entrywise XOR of all n share columns."""
     if len(columns) < 2:
         raise ValueError("the all-participants scheme needs at least 2 columns")
-    cols = [_check_bits(c) for c in columns]
-    width = len(cols[0])
-    if any(len(c) != width for c in cols):
-        raise ValueError("column width mismatch")
-    out = cols[0]
-    for c in cols[1:]:
-        out = tuple(a ^ b for a, b in zip(out, c))
-    return out
+    return reduce(_xor, _check_columns(columns))
 
 
 def int_to_column(y: int, k: int) -> BitColumn:

@@ -35,7 +35,7 @@ def test_package_imports_only_exported_names():
 EXPORTED = {
     "Alphabet", "BitColumn", "BreakdownResult", "BudgetExhausted", "CancellationReport",
     "DehnStep", "DehnTrace", "Message", "Polynomial", "Presentation", "PrimeModulus",
-    "PrivacyAudit", "SessionConfig", "SharePoint", "T1Intro", "T4Replace", "Transcript",
+    "SessionConfig", "SharePoint", "T1Intro", "T4Replace", "Transcript",
     "Word", "WordColumn", "break_relators", "check_small_cancellation", "column_to_int",
     "cyclic_permutations", "cyclically_reduce", "deal_nn", "deal_tn", "decode_column",
     "dehn_is_trivial", "encode_column", "expand_word", "export_transcript", "int_to_column",
@@ -44,7 +44,6 @@ EXPORTED = {
     "random_platform_group", "random_polynomial", "random_reduced_word", "recover_secret_nn",
     "recover_share", "replay", "run_secure_linear_combination", "run_secure_sum",
     "serialize_breakdown", "serialize_presentation", "serialize_word", "split_secret",
-    "transcript_privacy_audit",
 }
 
 
@@ -53,5 +52,5 @@ def test_package_exports_exactly_the_listed_names():
     names = [alias.asname or alias.name
              for node in tree.body if isinstance(node, ast.ImportFrom)
              for alias in node.names]
-    assert len(names) == len(EXPORTED) == 53
+    assert len(names) == len(EXPORTED) == 51
     assert set(names) == EXPORTED
