@@ -5,7 +5,9 @@ relators all have length at most 3.  Long relators leak structure through
 the over-half subwords that trivial words must contain; after breaking,
 every relator is too short to be distinctive.
 
-Breaking works on packed relator strings and logs each splice.  The
+Breaking works on packed relator strings and logs each splice: counted
+rounds absorb the most frequent pair class until every class occurs once,
+then one pass shortens each overlong relator from its front.  The
 equivalent list of elementary Tietze moves is worked out from that log on
 first read of ``BreakdownResult.moves``: T1, which introduces a generator
 together with its defining relator, and T4', which replaces one relator by
@@ -191,6 +193,14 @@ def break_relators(p: Presentation) -> BreakdownResult:
     The pair counts are taken once and then kept up to date at each
     splice, which only changes the adjacencies around the spliced pair.
 
+    The counted rounds stop at the first round whose top count is 1.  From
+    then on no class reaches count 2 again, since every new adjacency holds
+    the newest generator, so each round's pair would be the first pair of
+    the first overlong relator, found nowhere else.  One pass in index
+    order does just that: g, or g^-1 when the pair is the inverse of its
+    class, replaces each overlong relator's first pair until 3 letters are
+    left.
+
     Each splice is logged, and ``moves`` is worked out from that log on
     first read: the T1 and T4' moves that carry out each splice, where the
     relator is rotated left past the letters before the occurrence,
@@ -224,9 +234,8 @@ def break_relators(p: Presentation) -> BreakdownResult:
     for s in relators:
         if len(s) >= 4:
             count(s, 1)
-    while counts:
+    while counts and (top := max(counts.values())) > 1:
         # the first pair in scan order whose class has the top count
-        top = max(counts.values())
         scan, again = tee(chain.from_iterable(pair_classes(s) for s in relators if len(s) >= 4))
         pair = next(compress(scan, map(top.__eq__, map(counts.__getitem__, again))))
         definition = _from_chars(Alphabet(rank), pair)
@@ -254,6 +263,16 @@ def break_relators(p: Presentation) -> BreakdownResult:
                 r = relators[idx] = before + head + r[pos + 2 :]
                 if len(r) >= 4:
                     count(r[lo : pos + 2], 1)
+    # every class occurs once: each round's one splice is at the front
+    for idx, r in enumerate(relators):
+        while len(r) >= 4:
+            pair = classes(r[:2])
+            rank = g = rank + 1
+            definitions[g] = _from_chars(Alphabet(g - 1), pair)
+            defining.append(chr(2 * g + 1) + pair)
+            inverse = pair != r[:2]
+            splices.append((g, idx, "", inverse))
+            r = relators[idx] = chr(2 * g + inverse) + r[2:]
     alphabet = Alphabet(rank)
     out = tuple(_from_chars(alphabet, r) for r in relators + defining)
     return BreakdownResult(Presentation(alphabet, out), definitions, tuple(splices))

@@ -598,8 +598,10 @@ def test_break_and_inspect_pipeline(tmp_path, capsys):
     assert code == 0 and "satisfied True" in out
 
 
-# SHA-256 of the --out file and of stdout, per relator length L, for
-# random_platform_group(3, 3, L, "1/6", Random(L))
+# SHA-256 of the --out file and of stdout: per relator length L, for
+# random_platform_group(3, 3, L, "1/6", Random(L)), and for CHAIN, the one
+# relator x1 x2 ... x26, whose pair classes are all distinct from the start
+CHAIN = "generators 26\nrelator " + " ".join(f"x{i}" for i in range(1, 27)) + "\n"
 PINNED_BREAKS = {
     40: ("0a6a0a4a6489dfa2792318c3cc7e675f17e68b0b4358ad5f88d9d336798632cc",
          "042f7e75268a65fa3d3edcdf83720655f3144e34fddcf29ed50d4fbec8399dbd"),
@@ -607,19 +609,21 @@ PINNED_BREAKS = {
          "c1d9cd26d47e630b09d92c942603dc6a49cd40ddc92d4519421a047f39ab7474"),
     120: ("eea0c50ae6be68f72243da24d8a47279b6442005ae6229e30983ef1e3d1f6f7a",
           "e89222d3f81a762af90c0d4dffac2cb6fe900e61844e7c2b1436e04416f4cc29"),
+    "chain": ("f4f429f32788612dc0b421daff101ded900f761da110f64b7b83fb91a7cc48a3",
+              "fdc59bb8dcb8748b851fa876e4d116023302cb1c32961cdb2f2a91e4fce41ad5"),
 }
 
 
-@pytest.mark.parametrize("length", sorted(PINNED_BREAKS))
-def test_tietze_break_bytes_are_pinned(tmp_path, capsys, length):
+@pytest.mark.parametrize("case", list(PINNED_BREAKS))
+def test_tietze_break_bytes_are_pinned(tmp_path, capsys, case):
     grp, broken = tmp_path / "g.grp", tmp_path / "g.broken"
-    grp.write_text(serialize_presentation(random_platform_group(3, 3, length, "1/6",
-                                                                Random(length))))
+    grp.write_text(CHAIN if case == "chain" else serialize_presentation(
+        random_platform_group(3, 3, case, "1/6", Random(case))))
     code, out, _ = run(capsys, "tietze-break", "--in", str(grp), "--out", str(broken))
     assert code == 0
     digests = (hashlib.sha256(broken.read_bytes()).hexdigest(),
                hashlib.sha256(out.encode()).hexdigest())
-    assert digests == PINNED_BREAKS[length]
+    assert digests == PINNED_BREAKS[case]
 
 
 def test_inspect_word_verdicts(tmp_path, capsys):

@@ -337,6 +337,24 @@ def test_break_builds_moves_only_when_read(monkeypatch):
     assert shorter.moves != moves and shorter != result
 
 
+def test_break_takes_the_top_count_once_when_every_class_is_unique(monkeypatch):
+    # x1 x2 ... x26: every pair class occurs once from the first round on
+    alphabet = Alphabet(26)
+    p = Presentation(alphabet, (Word(alphabet, list(range(1, 27))),))
+    tops = []
+
+    def counting_max(*args, **kwargs):
+        if len(args) == 1:  # a top count, not a clamp of two numbers
+            tops.append(args[0])
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(tietze, "max", counting_max, raising=False)
+    result = break_relators(p)
+    assert len(tops) == 1
+    assert len(result.definitions) == 23
+    assert all(len(r) <= 3 for r in result.presentation.relators)
+
+
 def test_breakdown_serialization():
     result = break_relators(Presentation(A1, (power(A1, 1, 4),)))
     text = serialize_breakdown(result)
@@ -516,6 +534,18 @@ def breakable_presentations(draw):
     parse_word("x3 x1 x2 x4", Alphabet(4)),
     parse_word("x4^-1 x2 x1^-1 x3", Alphabet(4)),
 )))
+# every class distinct from the first round on
+@example(Presentation(Alphabet(8), (parse_word("x1 x2 x3 x4 x5 x6 x7 x8", Alphabet(8)),)))
+# the first pair is the inverse of its class: a g^-1 splice
+@example(Presentation(Alphabet(4), (parse_word("x2 x1 x3 x4", Alphabet(4)),)))
+# when the top count first reaches 1, relator 0 has 5 letters and relator 1
+# has 7: index order, not length, decides
+@example(Presentation(Alphabet(4), (
+    parse_word("x1 x2 x3 x4 x3 x1 x2", Alphabet(4)),
+    parse_word("x4 x3^-1 x2 x3 x1^-1 x4 x2", Alphabet(4)),
+)))
+# a relator of exactly 4 letters when the top count first reaches 1
+@example(Presentation(Alphabet(4), (parse_word("x1 x2 x3 x1 x2 x4", Alphabet(4)),)))
 def test_break_matches_move_by_move_reference(p):
     assert outcome(break_relators(p)) == reference_break(p)
 
