@@ -8,7 +8,6 @@ threshold sharing so any t of n suffice.  A masked-ring simulator lets
 participants combine shares without revealing them.
 """
 
-from .errors import BudgetExhausted
 from .freegroup import (
     Alphabet,
     Word,
@@ -50,6 +49,7 @@ from .shamir import (
     random_polynomial,
 )
 from .smallcancel import (
+    BudgetExhausted,
     CancellationReport,
     DehnStep,
     DehnTrace,

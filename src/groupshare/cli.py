@@ -3,7 +3,7 @@
 Subcommands:
 
   gen-group     sample a C'(lambda) platform presentation and write it out
-  deal          run the dealer: sample per-participant groups (secure
+  deal          run the dealer: sample per-participant C'(1/6) groups (secure
                 payloads), split/encode the secret, write share bundles
                 (open payloads) and a session manifest
   recover       decode listed participants' bundles and recombine, either
@@ -28,7 +28,6 @@ from functools import cache, partial
 from pathlib import Path
 from random import Random
 
-from .errors import BudgetExhausted
 from .freegroup import Alphabet, parse_word, serialize_word
 from .scheme import (
     SessionConfig,
@@ -45,6 +44,7 @@ from .securesum import export_transcript, run_secure_linear_combination, run_sec
 from .shamir import PrimeModulus, interpolate_at_zero
 from .smallcancel import (
     ONE_SIXTH,
+    BudgetExhausted,
     CancellationReport,
     check_small_cancellation,
     dehn_is_trivial,
@@ -94,7 +94,6 @@ def _build_parser() -> _Parser:
     deal.add_argument("--rank", type=int, default=3)
     deal.add_argument("--relators", type=int, default=3)
     deal.add_argument("--length", type=int, default=40)
-    deal.add_argument("--lambda", dest="lam", default="1/6")
     deal.add_argument("--seed", type=int, default=0)
     deal.add_argument("--session-dir", required=True)
     deal.set_defaults(handler="cmd_deal")
@@ -265,13 +264,8 @@ def cmd_deal(args: argparse.Namespace) -> None:
             raise UsageError("tn mode requires --t and --p")
         if not 1 <= args.t <= args.n:
             raise UsageError("need 1 <= t <= n")
-    elif args.t is not None and args.t != args.n:
-        raise UsageError("nn mode fixes t = n")
-
-    lam = _parse_lambda(args.lam)
-    if lam > ONE_SIXTH:
-        raise UsageError("--lambda must be at most 1/6: Dehn's algorithm decides "
-                         "the word problem only on C'(1/6) groups")
+    elif args.t is not None or args.p is not None:
+        raise UsageError("nn mode takes no --t or --p: every participant is needed")
     rng = Random(args.seed)
     session = Path(args.session_dir)
 
@@ -294,7 +288,7 @@ def cmd_deal(args: argparse.Namespace) -> None:
         bits = int_to_column(secret_value, k)
         deal = partial(deal_nn, bits, rng=rng)
         t_value = args.n
-    groups = [random_platform_group(args.rank, args.relators, args.length, lam, rng)
+    groups = [random_platform_group(args.rank, args.relators, args.length, ONE_SIXTH, rng)
               for _ in range(args.n)]
     columns = deal(groups)
 

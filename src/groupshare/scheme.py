@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .freegroup import Word, _below
 from .shamir import PrimeModulus, SharePoint, poly_eval, random_polynomial
-from .smallcancel import Presentation, _dehn_verdict, make_nontrivial_word, make_trivial_word
+from .smallcancel import Presentation, _dehn_verdicts, make_nontrivial_word, make_trivial_word
 
 __all__ = [
     "BitColumn",
@@ -133,7 +133,7 @@ def encode_column(
 
 def decode_column(wc: WordColumn, g: Presentation) -> BitColumn:
     """Read the bits back by solving the word problem entry by entry."""
-    return tuple(int(_dehn_verdict(g, w)) for w in wc.words)
+    return tuple(map(int, _dehn_verdicts(g, wc.words)))
 
 
 def recover_secret_nn(columns: Sequence[Sequence[int]]) -> BitColumn:

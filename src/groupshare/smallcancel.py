@@ -16,7 +16,6 @@ from functools import cached_property, lru_cache
 from random import Random
 from typing import Iterable
 
-from .errors import BudgetExhausted
 from .freegroup import (
     Alphabet,
     Word,
@@ -32,6 +31,7 @@ from .freegroup import (
 )
 
 __all__ = [
+    "BudgetExhausted",
     "Presentation",
     "CancellationReport",
     "DehnStep",
@@ -51,6 +51,10 @@ ONE_SIXTH = Fraction(1, 6)
 _MAX_ATTEMPTS = 1000
 
 
+class BudgetExhausted(RuntimeError):
+    """A rejection-sampling or retry budget ran out before success."""
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Group presentation: alphabet plus cyclically reduced relators."""
@@ -67,16 +71,6 @@ class Presentation:
                 raise ValueError("relator must be nonempty")
             if not r.is_cyclically_reduced():
                 raise ValueError(f"relator {r!r} is not cyclically reduced")
-
-    # Dehn decoding looks the presentation up in a cache once per word, so
-    # the hash is worked out once, on first use, and kept.  Equality still
-    # compares the fields.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.alphabet, self.relators))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # Each relator and its inverse, packed, for word construction.
     @cached_property
@@ -286,15 +280,16 @@ def _dehn_scan(index: _DehnIndex, chars: str, steps: list | None = None) -> str:
         chars = shorter
 
 
-def _check_alphabet(p: Presentation, w: Word) -> None:
-    if w.alphabet != p.alphabet:
-        raise ValueError("word and presentation use different alphabets")
-
-
-def _dehn_verdict(p: Presentation, w: Word) -> bool:
-    """``dehn_is_trivial(p, w).is_trivial``, with no trace built."""
-    _check_alphabet(p, w)
-    return not _dehn_scan(_dehn_index(p), w.chars)
+def _dehn_verdicts(p: Presentation, words: Iterable[Word]) -> list[bool]:
+    """``dehn_is_trivial(p, w).is_trivial`` for each of ``words``, with no
+    trace built and the index of ``p`` looked up once."""
+    index = _dehn_index(p)
+    verdicts = []
+    for w in words:
+        if w.alphabet != p.alphabet:
+            raise ValueError("word and presentation use different alphabets")
+        verdicts.append(not _dehn_scan(index, w.chars))
+    return verdicts
 
 
 def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
@@ -308,7 +303,8 @@ def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
     there.  Completeness of the verdict relies on the presentation being
     C'(1/6), which callers check.
     """
-    _check_alphabet(p, w)
+    if w.alphabet != p.alphabet:
+        raise ValueError("word and presentation use different alphabets")
     found: list[tuple[int, int, str]] = []
     chars = _dehn_scan(_dehn_index(p), w.chars, found)
     alphabet = p.alphabet
@@ -422,9 +418,11 @@ def serialize_presentation(p: Presentation) -> str:
 def parse_presentation(text: str) -> Presentation:
     """Parse the ``generators m`` / ``relator <word>`` format.
 
-    Blank lines and lines starting with ``#`` are ignored.  Relators are
-    cyclically reduced on input; a relator reducing to the empty word is an
-    error.
+    Blank lines and lines starting with ``#`` are ignored, and so are
+    ``define`` lines after the generators line: ``tietze-break`` writes them
+    as annotations of the defining relators, which carry the same content.
+    Relators are cyclically reduced on input; a relator reducing to the
+    empty word is an error.
     """
     alphabet: Alphabet | None = None
     relators: list[Word] = []
@@ -447,6 +445,8 @@ def parse_presentation(text: str) -> Presentation:
             if not word:
                 raise ValueError("empty relator")
             relators.append(word)
+        elif keyword == "define" and alphabet is not None:
+            continue
         else:
             raise ValueError(f"unrecognized line {line!r}")
     if alphabet is None:

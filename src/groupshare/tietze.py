@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .freegroup import (
     Alphabet,
     Word,
+    _char,
     _cyclic_core,
     _from_chars,
     _invert_chars,
@@ -91,7 +92,35 @@ class BreakdownResult:
 
     @cached_property
     def moves(self) -> tuple[TietzeMove, ...]:
-        return _splice_moves(self)
+        defined = len(self.definitions)
+        base = self.presentation.alphabet.rank - defined
+        inputs = len(self.presentation.relators) - defined
+        # Memoised per call, so that map() over them runs at C speed: moves
+        # are values, so each rotation is built once.
+        rotations = [
+            (cache(partial(_rotation, idx, False)), cache(partial(_rotation, idx, True)))
+            for idx in range(inputs)
+        ]
+        moves: list[TietzeMove] = []
+        current = None
+        for g, idx, before, inverse in self.splices:
+            if g != current:
+                # T1 appends g b^-1 a^-1; inverting it and conjugating by g gives
+                # the defining relator q = g^-1 a b
+                current, q = g, inputs + g - base - 1
+                invert = T4Replace(q, "r_i^-1")
+                conjugate_by_g = T4Replace(q, "x^-1 r_i x", generator=g)
+                moves += (T1Intro(self.definitions[g]), invert, conjugate_by_g)
+                # q r turns a leading b^-1 a^-1 into g^-1; turned into g b^-1 a^-1
+                # for the product and back, q turns a leading a b into g
+                turn = (invert, T4Replace(q, "x r_i x^-1", generator=g))
+                unturn = (conjugate_by_g, invert)
+            left, right = rotations[idx]
+            product = T4Replace(idx, "r_j r_i", other=q)
+            moves += map(left, before)
+            moves += (product,) if inverse else (*turn, product, *unturn)
+            moves += map(right, reversed(before))
+        return tuple(moves)
 
 
 # ---------------------------------------------------------------------------
@@ -278,58 +307,19 @@ def break_relators(p: Presentation) -> BreakdownResult:
     return BreakdownResult(Presentation(alphabet, out), definitions, tuple(splices))
 
 
-def _splice_moves(result: BreakdownResult) -> tuple[TietzeMove, ...]:
-    """The T1 and T4' moves that carry out ``result.splices`` in order."""
-    defined = len(result.definitions)
-    base = result.presentation.alphabet.rank - defined
-    inputs = len(result.presentation.relators) - defined
-    # Memoised per call, so that map() over them runs at C speed: moves
-    # are values, so each rotation is built once.
-    rotations = [
-        (cache(partial(_rotation, idx, False)), cache(partial(_rotation, idx, True)))
-        for idx in range(inputs)
-    ]
-    moves: list[TietzeMove] = []
-    current = None
-    for g, idx, before, inverse in result.splices:
-        if g != current:
-            # T1 appends g b^-1 a^-1; inverting it and conjugating by g gives
-            # the defining relator q = g^-1 a b
-            current, q = g, inputs + g - base - 1
-            invert = T4Replace(q, "r_i^-1")
-            conjugate_by_g = T4Replace(q, "x^-1 r_i x", generator=g)
-            moves += (T1Intro(result.definitions[g]), invert, conjugate_by_g)
-            # q r turns a leading b^-1 a^-1 into g^-1; turned into g b^-1 a^-1
-            # for the product and back, q turns a leading a b into g
-            turn = (invert, T4Replace(q, "x r_i x^-1", generator=g))
-            unturn = (conjugate_by_g, invert)
-        left, right = rotations[idx]
-        product = T4Replace(idx, "r_j r_i", other=q)
-        moves += map(left, before)
-        moves += (product,) if inverse else (*turn, product, *unturn)
-        moves += map(right, reversed(before))
-    return tuple(moves)
-
-
-def expand_word(
-    w: Word,
-    definitions: Mapping[int, Word],
-    alphabet: Alphabet | None = None,
-) -> Word:
+def expand_word(w: Word, definitions: Mapping[int, Word]) -> Word:
     """Replace every introduced generator by its defining word, iterated to
     a fixpoint, and freely reduce.
 
     ``definitions`` must be acyclic in the strict sense used by
     :func:`break_relators`: each generator's defining word mentions only
-    strictly earlier generators.  ``alphabet`` names the base alphabet of
-    the result; by default it is inferred as everything below the smallest
-    defined generator.
+    strictly earlier generators.  The result is over the base alphabet:
+    every generator below the smallest defined one.
     """
-    if alphabet is None:
-        base_rank = min(definitions) - 1 if definitions else w.alphabet.rank
-        if base_rank < 1:
-            raise ValueError("cannot infer a base alphabet")
-        alphabet = Alphabet(base_rank)
+    base_rank = min(definitions) - 1 if definitions else w.alphabet.rank
+    if base_rank < 1:
+        raise ValueError("cannot infer a base alphabet")
+    alphabet = Alphabet(base_rank)
     expanded: dict[int, str] = {}
     for g in sorted(definitions):
         chars = ""
@@ -353,7 +343,7 @@ def _piece_chars(
     index: int, letter: int, alphabet: Alphabet, expanded: Mapping[int, str]
 ) -> str:
     if index <= alphabet.rank:
-        return chr(2 * index) if letter > 0 else chr(2 * index + 1)
+        return _char(letter)
     if index not in expanded:
         raise ValueError(f"unknown generator x{index}")
     chars = expanded[index]

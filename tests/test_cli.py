@@ -13,15 +13,13 @@ from hypothesis import strategies as st
 
 from groupshare import cli
 from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
-from groupshare.freegroup import parse_word
+from groupshare.freegroup import serialize_word
 from groupshare.smallcancel import (
     check_small_cancellation,
-    dehn_is_trivial,
     parse_presentation,
     random_platform_group,
     serialize_presentation,
 )
-from groupshare.tietze import expand_word
 
 
 def run(capsys, *argv):
@@ -292,13 +290,14 @@ def test_recover_rejects_mac_forged_from_a_presentation_digest(tmp_path, capsys)
 
 
 def test_deal_refuses_lambda_above_one_sixth(tmp_path, capsys):
-    # with --lambda 1/2 this session used to recover as c07be6c0ffeec0ffee, exit 0
+    # with --lambda 1/2 this session used to recover as c07be6c0ffeec0ffee, exit 0;
+    # deal now always samples C'(1/6) and takes no --lambda
     session = tmp_path / "s"
     code, out, err = run(capsys, "deal", "--mode", "nn", "--secret", "c0ffeec0ffeec0ffee",
                          "--n", "3", "--rank", "2", "--length", "10", "--lambda", "1/2",
                          "--seed", "1", "--session-dir", str(session))
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "--lambda must be at most 1/6" in err
+    assert err.count("\n") == 1 and "unrecognized arguments: --lambda 1/2" in err
     assert not session.exists()
     code, out, err = run(capsys, "recover", "--session-dir", str(session),
                          "--participants", "1,2,3")
@@ -356,15 +355,10 @@ def test_tn_secret_must_be_decimal(tmp_path, capsys, secret):
 
 
 @pytest.mark.parametrize("lam", ["1/0", "abc"])
-@pytest.mark.parametrize("command", ["gen-group", "deal"])
+@pytest.mark.parametrize("command", ["gen-group"])
 def test_bad_lambda_is_one_line_data_error(tmp_path, capsys, command, lam):
     target = tmp_path / "out"
-    if command == "gen-group":
-        argv = ["gen-group", "--lambda", lam, "--out", str(target)]
-    else:
-        argv = ["deal", "--mode", "nn", "--secret", "ab", "--n", "3", "--lambda", lam,
-                "--session-dir", str(target)]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, command, "--lambda", lam, "--out", str(target))
     assert code == 2 and out == ""
     assert err == f"error: --lambda must be a fraction such as 1/6, got {lam!r}\n"
     assert not target.exists()
@@ -572,6 +566,18 @@ def test_tn_bad_participant_list(tn_session, capsys):
                "--participants", "1,2,9")[0] == 2
 
 
+# --p 12 used to deal with exit 0 although 12 is not prime, and --t was
+# taken only when it equalled --n
+@pytest.mark.parametrize("option", [("--p", "11"), ("--p", "12"), ("--t", "3")])
+def test_nn_mode_refuses_t_and_p(tmp_path, capsys, option):
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", "--mode", "nn", "--secret", "ab", "--n", "3",
+                         *option, "--session-dir", str(session))
+    assert code == 1 and out == ""
+    assert err == "usage error: nn mode takes no --t or --p: every participant is needed\n"
+    assert not session.exists()
+
+
 def test_missing_session_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "recover", "--session-dir", str(tmp_path / "nope"),
                        "--participants", "1")
@@ -589,13 +595,17 @@ def test_break_and_inspect_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "tietze-break", "--in", str(grp), "--out", str(broken))
     assert code == 0
     assert "max-length 3" in out
-    text = broken.read_text()
-    head = text.split("define", 1)[0]
-    small = parse_presentation(head)
+    small = parse_presentation(broken.read_text())
     assert all(len(r) <= 3 for r in small.relators)
 
     code, out, _ = run(capsys, "inspect", "--in", str(grp))
     assert code == 0 and "satisfied True" in out
+    # the broken file itself, define lines and all
+    code, out, err = run(capsys, "inspect", "--in", str(broken))
+    assert code == 0 and err == "" and "satisfied False" in out
+    relator = serialize_word(small.relators[0])
+    code, out, err = run(capsys, "inspect", "--in", str(broken), "--word", relator)
+    assert code == 0 and err == "" and "trivial True" in out
 
 
 # SHA-256 of the --out file and of stdout: per relator length L, for
@@ -633,9 +643,6 @@ def test_inspect_word_verdicts(tmp_path, capsys):
 
     code, out, _ = run(capsys, "inspect", "--in", str(grp), "--word", "")
     assert code == 0 and "trivial True" in out and "steps 0" in out
-
-    relator = out_word = None
-    from groupshare.freegroup import serialize_word
 
     relator = serialize_word(p.relators[0])
     code, out, _ = run(capsys, "inspect", "--in", str(grp), "--word", relator)

@@ -18,7 +18,7 @@ from groupshare.scheme import (
     recover_share,
     split_secret,
 )
-from groupshare.shamir import PrimeModulus, SharePoint, interpolate_at_zero
+from groupshare.shamir import PrimeModulus, interpolate_at_zero
 
 bit_columns = st.lists(st.integers(0, 1), min_size=1, max_size=48).map(tuple)
 

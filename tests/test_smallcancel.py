@@ -6,21 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshare.errors import BudgetExhausted
 from groupshare.freegroup import (
     Alphabet,
     Word,
     _from_chars,
     parse_word,
     random_reduced_word,
-    serialize_word,
 )
 from groupshare.scheme import WordColumn, decode_column, encode_column
 from groupshare.smallcancel import (
     _closure,
     _conjugated_product,
     _dehn_index,
-    _dehn_verdict,
+    _dehn_verdicts,
+    BudgetExhausted,
     DehnStep,
     DehnTrace,
     Presentation,
@@ -91,16 +90,6 @@ def test_equal_presentations_hash_and_compare_equal():
     assert len({a, b, built, other}) == 2
 
 
-def test_presentation_hash_is_computed_once(monkeypatch):
-    p = parse_presentation("generators 2\nrelator x1 x2 x1 x2 x2\n")
-    expected = hash(p)
-    calls = []
-    word_hash = Word.__hash__
-    monkeypatch.setattr(Word, "__hash__", lambda w: calls.append(w) or word_hash(w))
-    assert [hash(p) for _ in range(3)] == [expected] * 3
-    assert calls == []
-
-
 def test_decoding_a_column_builds_one_dehn_index(platform_group):
     rng = Random(5)
     bits = [rng.randrange(2) for _ in range(16)]
@@ -108,12 +97,12 @@ def test_decoding_a_column_builds_one_dehn_index(platform_group):
     _dehn_index.cache_clear()
     assert decode_column(column, platform_group) == tuple(bits)
     info = _dehn_index.cache_info()
-    assert (info.misses, info.hits) == (1, len(bits) - 1)
+    assert (info.misses, info.hits) == (1, 0)
     # an equal presentation parsed afresh finds the same index
     again = parse_presentation(serialize_presentation(platform_group))
     assert decode_column(column, again) == tuple(bits)
     info = _dehn_index.cache_info()
-    assert (info.misses, info.hits) == (1, 2 * len(bits) - 1)
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_parse_presentation_accepts_comments_and_blanks():
@@ -498,17 +487,19 @@ def test_verdict_scan_matches_the_traced_and_naive_verdicts(platform_group, kind
     p = platform_group
     if kind == "dealt":
         bits = [rng.randrange(2) for _ in range(3)]
-        cases = [(p, w) for w in encode_column(bits, p, rng).words]
+        words = encode_column(bits, p, rng).words
     elif kind == "random":
-        cases = [(p, random_reduced_word(rng.randrange(0, 70), p.alphabet, rng))]
+        words = [random_reduced_word(rng.randrange(0, 70), p.alphabet, rng)]
     elif kind == "bare":
         build = make_trivial_word if rng.randrange(2) else make_nontrivial_word
-        cases = [(p, build(p, 4, 0, rng))]
+        words = [build(p, 4, 0, rng)]
     else:
-        cases = [multi_threshold_case(rng)]
-    for q, w in cases:
-        verdict = _dehn_verdict(q, w)
-        assert verdict is dehn_is_trivial(q, w).is_trivial is naive_dehn(q, w).is_trivial
+        p, w = multi_threshold_case(rng)
+        words = [w]
+    verdicts = _dehn_verdicts(p, words)
+    assert len(verdicts) == len(words)
+    for verdict, w in zip(verdicts, words):
+        assert verdict is dehn_is_trivial(p, w).is_trivial is naive_dehn(p, w).is_trivial
 
 
 def opening_thresholds(p, chars):

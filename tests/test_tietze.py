@@ -568,17 +568,14 @@ def test_expand_word_examples():
 
 def test_expand_word_rejects_unknown_and_unordered():
     with pytest.raises(ValueError):
-        expand_word(Word(Alphabet(4), [4]), {3: Word(A2, [1])}, alphabet=A2)
+        expand_word(Word(Alphabet(4), [4]), {3: Word(A2, [1])})
     with pytest.raises(ValueError):
         # x3 defined in terms of itself
-        expand_word(Word(Alphabet(3), [3]), {3: Word(Alphabet(3), [3])}, alphabet=A2)
+        expand_word(Word(Alphabet(3), [3]), {3: Word(Alphabet(3), [3])})
     with pytest.raises(ValueError):
         # cyclic pair x3 <-> x4 violates the strictly-earlier rule
-        expand_word(
-            Word(Alphabet(4), [3]),
-            {3: Word(Alphabet(4), [4]), 4: Word(Alphabet(3), [3])},
-            alphabet=A2,
-        )
+        definitions = {3: Word(Alphabet(4), [4]), 4: Word(Alphabet(3), [3])}
+        expand_word(Word(Alphabet(4), [3]), definitions)
 
 
 # ---------------------------------------------------------------------------
