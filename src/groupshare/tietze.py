@@ -27,11 +27,11 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .freegroup import (
     Alphabet,
     Word,
-    _char,
     _cyclic_core,
     _from_chars,
     _invert_chars,
     _merge_chars,
+    _reduce_chars,
     serialize_word,
 )
 from .smallcancel import Presentation, serialize_presentation
@@ -319,35 +319,24 @@ def expand_word(w: Word, definitions: Mapping[int, Word]) -> Word:
     base_rank = min(definitions) - 1 if definitions else w.alphabet.rank
     if base_rank < 1:
         raise ValueError("cannot infer a base alphabet")
-    alphabet = Alphabet(base_rank)
-    expanded: dict[int, str] = {}
-    for g in sorted(definitions):
-        chars = ""
-        for letter in definitions[g]:
-            index = abs(letter)
-            if index >= g:
+    table: dict[int, str] = {}  # packed code of each defined letter -> its expansion
+
+    def expand(chars: str, g: int | None = None) -> str:
+        for code in map(ord, chars):
+            index = code >> 1
+            if g is not None and index >= g:
                 raise ValueError(
                     f"definition of x{g} mentions x{index}: definitions must be "
                     "over strictly earlier generators"
                 )
-            piece = _piece_chars(index, letter, alphabet, expanded)
-            chars = _merge_chars(chars, piece)
-        expanded[g] = chars
-    out = ""
-    for letter in w:
-        out = _merge_chars(out, _piece_chars(abs(letter), letter, alphabet, expanded))
-    return _from_chars(alphabet, out)
+            if index > base_rank and code not in table:
+                raise ValueError(f"unknown generator x{index}")
+        return _reduce_chars(chars.translate(table))
 
-
-def _piece_chars(
-    index: int, letter: int, alphabet: Alphabet, expanded: Mapping[int, str]
-) -> str:
-    if index <= alphabet.rank:
-        return _char(letter)
-    if index not in expanded:
-        raise ValueError(f"unknown generator x{index}")
-    chars = expanded[index]
-    return chars if letter > 0 else _invert_chars(chars)
+    for g in sorted(definitions):
+        table[2 * g] = expansion = expand(definitions[g].chars, g)
+        table[2 * g + 1] = _invert_chars(expansion)
+    return _from_chars(Alphabet(base_rank), expand(w.chars))
 
 
 def serialize_breakdown(result: BreakdownResult) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import hmac
 import io
@@ -16,6 +17,7 @@ from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
 from groupshare.freegroup import serialize_word
 from groupshare.smallcancel import (
     check_small_cancellation,
+    make_trivial_word,
     parse_presentation,
     random_platform_group,
     serialize_presentation,
@@ -98,7 +100,7 @@ def test_calls_in_a_row_share_no_parsed_state(capsys, monkeypatch):
         ["inspect", "--in", "g", "--word", "x1"],
         ["inspect", "--bogus"],
         ["inspect", "--in", "g"],
-        ["gen-group", "--out", "g", "--lambda", "1/7"],
+        ["gen-group", "--out", "g", "--rank", "4", "--seed", "5"],
         ["tietze-break", "--in", "g", "--out", "h"],
         ["gen-group", "--out", "g"],
     ]
@@ -111,6 +113,28 @@ def test_calls_in_a_row_share_no_parsed_state(capsys, monkeypatch):
     assert [vars(args) for args in seen] == expected
     assert len(expected) == len(calls) - 1
     assert len({id(args) for args in seen}) == len(seen)
+
+
+# Every option a user can set, per subcommand, spelled out so that each change
+# to the CLI's settings shows in a diff of this file.
+OPTIONS = {
+    "gen-group": {"--rank", "--relators", "--length", "--seed", "--out"},
+    "deal": {"--mode", "--secret", "--n", "--t", "--p", "--rank", "--relators", "--length",
+             "--seed", "--session-dir"},
+    "recover": {"--session-dir", "--participants", "--secure-sum", "--seed"},
+    "tietze-break": {"--in", "--out"},
+    "inspect": {"--in", "--word"},
+}
+
+
+def test_cli_options_are_exactly_the_listed_ones():
+    parser = cli._build_parser.__wrapped__()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {opt for a in command._actions if a.dest != "help"
+                      for opt in a.option_strings}
+               for name, command in sub.choices.items()}
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 23
 
 
 def test_unknown_flags_are_usage_errors(capsys):
@@ -163,6 +187,20 @@ def test_nn_recover_requires_everyone(tmp_path, capsys):
     assert code == 2 and "insufficient shares" in err
 
 
+def test_unseeded_deals_draw_different_groups(tmp_path, capsys):
+    # a default seed would let anyone who reads open/ and the manifest rerun
+    # the deal and rebuild every secure/ presentation
+    texts = []
+    for name in ("one", "two"):
+        session = tmp_path / name
+        assert run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "2",
+                   "--session-dir", str(session))[0] == 0
+        assert run(capsys, "recover", "--session-dir", str(session),
+                   "--participants", "1,2")[:2] == (0, "c0ffee\n")
+        texts.append((session / "secure" / "participant-1.grp").read_text())
+    assert texts[0] != texts[1]
+
+
 def test_nn_deal_is_deterministic(tmp_path, capsys):
     args = ["deal", "--mode", "nn", "--secret", "abcd", "--n", "2", "--seed", "9"]
     run(capsys, *args, "--session-dir", str(tmp_path / "one"))
@@ -195,7 +233,7 @@ def test_seeded_session_bytes_are_pinned(tmp_path, capsys, mode):
     session = tmp_path / "s"
     assert run(capsys, "deal", *deal, "--session-dir", str(session))[0] == 0
     assert run(capsys, "recover", "--session-dir", str(session),
-               "--participants", participants, "--secure-sum")[0] == 0
+               "--participants", participants, "--secure-sum", "--seed", "0")[0] == 0
     files = tree_bytes(session)
     assert {name.split("/")[0] for name in files} == {"secure", "open", "manifest",
                                                       "transcripts"}
@@ -304,12 +342,8 @@ def test_deal_refuses_lambda_above_one_sixth(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
-def _loose_presentation(tmp_path: Path, capsys) -> str:
-    loose = tmp_path / "loose.grp"
-    code, out, _ = run(capsys, "gen-group", "--rank", "3", "--length", "10", "--lambda", "1/2",
-                       "--seed", "1", "--out", str(loose))
-    assert code == 0 and "satisfied True" in out
-    text = loose.read_text()
+def _loose_presentation() -> str:
+    text = serialize_presentation(random_platform_group(3, 3, 10, "1/2", Random(1)))
     assert not check_small_cancellation(parse_presentation(text), "1/6").satisfied
     return text
 
@@ -322,7 +356,7 @@ def test_recover_refuses_presentations_dehn_cannot_decide(tmp_path, capsys, loos
     session = tmp_path / "s"
     run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",
         "--seed", "6", "--session-dir", str(session))
-    text = _loose_presentation(tmp_path, capsys) if loose else "generators 3\n"
+    text = _loose_presentation() if loose else "generators 3\n"
     (session / "secure" / "participant-2.grp").write_text(text)
     _commit_mac(session, 2)
     code, out, err = run(capsys, "recover", "--session-dir", str(session),
@@ -352,16 +386,6 @@ def test_tn_secret_must_be_decimal(tmp_path, capsys, secret):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: tn secret must be decimal")
     assert not session.exists()
-
-
-@pytest.mark.parametrize("lam", ["1/0", "abc"])
-@pytest.mark.parametrize("command", ["gen-group"])
-def test_bad_lambda_is_one_line_data_error(tmp_path, capsys, command, lam):
-    target = tmp_path / "out"
-    code, out, err = run(capsys, command, "--lambda", lam, "--out", str(target))
-    assert code == 2 and out == ""
-    assert err == f"error: --lambda must be a fraction such as 1/6, got {lam!r}\n"
-    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +674,19 @@ def test_inspect_word_verdicts(tmp_path, capsys):
 
     code, out, _ = run(capsys, "inspect", "--in", str(grp), "--word", "x1 x2")
     assert code == 0 and "trivial False" in out
+
+
+def test_inspect_word_is_unknown_where_dehn_cannot_decide(tmp_path, capsys):
+    # on the broken presentation, which is not C'(1/6), Dehn's reduction of a
+    # trivial word can stop short of 1; that is no proof that it is non-trivial
+    grp, broken = tmp_path / "g.grp", tmp_path / "g.broken"
+    assert run(capsys, "gen-group", "--seed", "21", "--length", "30", "--out", str(grp))[0] == 0
+    assert run(capsys, "tietze-break", "--in", str(grp), "--out", str(broken))[0] == 0
+    word = serialize_word(make_trivial_word(parse_presentation(grp.read_text()), 2, 3, Random(5)))
+    code, out, err = run(capsys, "inspect", "--in", str(broken), "--word", word)
+    assert code == 0 and err == "" and "trivial unknown\n" in out
+    code, out, err = run(capsys, "inspect", "--in", str(grp), "--word", word)
+    assert code == 0 and err == "" and "trivial True\n" in out
 
 
 def test_inspect_rejects_bad_word(tmp_path, capsys):
