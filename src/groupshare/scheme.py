@@ -4,8 +4,9 @@ All-or-nothing sharing of a bit column: the dealer XOR-splits the secret
 column into one share column per participant and publishes, for each
 participant, a column of group words over that participant's private
 platform group; a word equal to 1 encodes bit 1, a word not equal to 1
-encodes bit 0.  Only the holder of the matching presentation can read the
-bits, and XOR of all decoded columns recovers the secret.
+encodes bit 0.  The holder of the matching presentation reads the bits by
+Dehn's algorithm; a passive attack on the open columns read 71% to 100% of
+them in README's measurements.  XOR of all decoded columns recovers the secret.
 
 Threshold variant: the secret is a residue mod p, split with a random
 polynomial; each participant's polynomial value is binary-encoded into a
@@ -180,13 +181,8 @@ def deal_tn(
         raise ValueError("one platform group per participant is required")
     p = cfg.p.p
     f = random_polynomial(secret, cfg.t, p, rng)
-    columns = []
-    for j in range(1, cfg.n + 1):
-        y = poly_eval(f, j, p)
-        columns.append(
-            encode_column(int_to_column(y, cfg.k), groups[j - 1], rng, group_hint=j)
-        )
-    return columns
+    return [encode_column(int_to_column(poly_eval(f, j, p), cfg.k), g, rng, group_hint=j)
+            for j, g in enumerate(groups, start=1)]
 
 
 def recover_share(wc: WordColumn, g: Presentation, p: int) -> SharePoint:

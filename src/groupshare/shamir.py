@@ -22,13 +22,17 @@ __all__ = [
     "interpolate_at_zero",
 ]
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Exact below psi_13, the least strong pseudoprime to all 13 bases (Sorenson-Webster).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set is exact below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin below 3.3 * 10^24; ValueError from there up."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: it is not below {_MR_LIMIT}")
     for q in _MR_BASES:
         if n % q == 0:
             return n == q

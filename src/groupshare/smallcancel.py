@@ -72,10 +72,39 @@ class Presentation:
             if not r.is_cyclically_reduced():
                 raise ValueError(f"relator {r!r} is not cyclically reduced")
 
-    # Each relator and its inverse, packed, for word construction.
+    # Each relator and its inverse, packed, for word construction and R*.
     @cached_property
     def _signed_chars(self) -> tuple[tuple[str, str], ...]:
         return tuple((r.chars, _invert_chars(r.chars)) for r in self.relators)
+
+    @cached_property
+    def closure(self) -> tuple[str, ...]:
+        """Packed members of R*: each relator and its inverse in every rotation, sorted."""
+        return tuple(sorted({base[i:] + base[:i] for signed in self._signed_chars
+                             for base in signed for i in range(len(base))}))
+
+    @cached_property
+    def _largest_piece(self) -> tuple[Fraction, tuple[Word, Word] | None]:
+        """The largest ratio |u| / |r| of a piece u opening r in R*, and a witness (u, r)."""
+        # The longest common prefix of a member with any other is reached at
+        # a neighbour in lexicographic order, so one pass finds every piece.
+        members = self.closure
+        best_piece, best_length, found = 0, 1, ""  # the largest ratio so far, in integers
+        for a, b in zip(members, members[1:]):
+            shorter = min(len(a), len(b))
+            # the shortest common prefix whose ratio could beat the best
+            need = best_piece * shorter // best_length + 1
+            if need > shorter or not b.startswith(a[:need]):
+                continue
+            l = need
+            while l < shorter and a[l] == b[l]:
+                l += 1
+            for member in (a, b):
+                if l * best_length > best_piece * len(member):
+                    best_piece, best_length, found = l, len(member), member
+        witness = (_from_chars(self.alphabet, found[:best_piece]),
+                   _from_chars(self.alphabet, found)) if found else None
+        return Fraction(best_piece, best_length), witness
 
 
 @dataclass(frozen=True)
@@ -104,46 +133,13 @@ class DehnTrace:
 # ---------------------------------------------------------------------------
 # symmetrization and the metric condition
 
-def _closure(relators: Iterable[Word]) -> list[str]:
-    """Packed members of the symmetrized closure R*: every relator (nonempty
-    and cyclically reduced) with its inverse and all their cyclic
-    permutations, deduplicated in the canonical (length, internal-lex)
-    order."""
-    members: set[str] = set()
-    for r in relators:
-        for base in (r.chars, _invert_chars(r.chars)):
-            members.update(base[i:] + base[:i] for i in range(len(base)))
-    return sorted(members, key=lambda m: (len(m), m))
-
-
-def _lcp(a: str, b: str) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
-
-
 def check_small_cancellation(p: Presentation, lam: Fraction | str | int) -> CancellationReport:
     """Verify the condition C'(lam): every piece of a relator r from the
     symmetrized closure is shorter than lam * |r|."""
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    # The longest common prefix of a member with any other is reached at a
-    # neighbour in lexicographic order, so one sorted pass finds every piece.
-    ordered = sorted(_closure(p.relators))
-    best_piece, best_length = 0, 1  # the largest ratio so far, compared in integers
-    witness: tuple[Word, Word] | None = None
-    for a, b in zip(ordered, ordered[1:]):
-        l = _lcp(a, b)
-        if not l:
-            continue
-        for member in (a, b):
-            if l * best_length > best_piece * len(member):
-                best_piece, best_length = l, len(member)
-                witness = (_from_chars(p.alphabet, member[:l]), _from_chars(p.alphabet, member))
-    best = Fraction(best_piece, best_length)
+    best, witness = p._largest_piece
     return CancellationReport(lam, best, witness, best < lam)
 
 
@@ -174,10 +170,11 @@ def random_platform_group(
             while not w.is_cyclically_reduced():
                 w = random_reduced_word(r_length, alphabet, rng)
             words.append(w)
-        signatures = {_closure((w,))[0] for w in words}
-        if len(signatures) < r_count:
-            continue
         candidate = Presentation(alphabet, tuple(words))
+        # each relator's orbit in R* is named by its least rotation or its inverse's
+        if len({min(s[i:] + s[:i] for s in signed for i in range(r_length))
+                for signed in candidate._signed_chars}) < r_count:
+            continue
         if check_small_cancellation(candidate, lam).satisfied:
             return candidate
     raise BudgetExhausted(
@@ -203,12 +200,12 @@ class _DehnIndex:
 
     def __init__(self, p: Presentation):
         tables: dict[int, dict[str, list[str]]] = {}
-        for member in _closure(p.relators):
+        # Stable by length over plain order: thresholds ascend, and each bucket
+        # is in the (length, chars) order that settles ties in ``_dehn_scan``.
+        for member in sorted(p.closure, key=len):
             t = len(member) // 2 + 1
             tables.setdefault(t, {}).setdefault(member[:t], []).append(member)
-        self.tables = {
-            t: {k: tuple(v) for k, v in tables[t].items()} for t in sorted(tables)
-        }
+        self.tables = {t: {k: tuple(v) for k, v in table.items()} for t, table in tables.items()}
         self.thresholds = tuple(self.tables)
 
     def leftmost(self, chars: str, start: int) -> int:
@@ -227,7 +224,9 @@ class _DehnIndex:
         return found
 
 
-@lru_cache(maxsize=128)
+# A CLI process decodes each presentation once; the in-process callers that
+# reuse indexes hold at most 8 groups, and a larger cache only keeps dead ones.
+@lru_cache(maxsize=8)
 def _dehn_index(p: Presentation) -> _DehnIndex:
     return _DehnIndex(p)
 

@@ -2,8 +2,9 @@
 
 The relator-breaking procedure rewrites any presentation into one whose
 relators all have length at most 3.  Long relators leak structure through
-the over-half subwords that trivial words must contain; after breaking,
-every relator is too short to be distinctive.
+the over-half subwords that trivial words must contain, and breaking does
+not hide it: over broken presentations a 3-gram attack still read share
+bits with advantage 0.853 to 0.978 (n=8, k=256).
 
 Breaking works on packed relator strings and logs each splice: counted
 rounds absorb the most frequent pair class until every class occurs once,

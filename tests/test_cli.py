@@ -602,6 +602,18 @@ def test_nn_mode_refuses_t_and_p(tmp_path, capsys, option):
     assert not session.exists()
 
 
+@pytest.mark.parametrize("modulus", ["318665857834031151167461", "3317044064679887385961981"])
+def test_tn_deal_refuses_a_modulus_not_proved_prime(tmp_path, capsys, modulus):
+    # psi_12 = 399165290221 * 798330580441 once passed as prime, and this
+    # session dealt and recovered with exit 0; psi_13 is past the exact range
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", "--mode", "tn", "--secret", "5", "--n", "3",
+                         "--t", "2", "--p", modulus, "--seed", "1", "--session-dir", str(session))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and modulus in err
+    assert not (session / "manifest").exists()
+
+
 def test_missing_session_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "recover", "--session-dir", str(tmp_path / "nope"),
                        "--participants", "1")

@@ -35,6 +35,20 @@ def test_is_prime_larger_values():
     assert not is_prime(2**32 - 1)
 
 
+def test_is_prime_refuses_strong_pseudoprimes_to_the_first_primes():
+    # psi_12 fooled the bases 2..37; psi_13 fools 2..41, so it and everything
+    # above it are refused rather than guessed
+    psi12 = 399165290221 * 798330580441
+    psi13 = 1287836182261 * 2575672364521
+    assert not is_prime(psi12)
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(psi13)
+    for composite in (psi12, psi13):
+        with pytest.raises(ValueError):
+            PrimeModulus(composite)
+    assert is_prime(2**61 - 1)
+
+
 def test_prime_modulus_rejects_composites():
     PrimeModulus(8191)
     with pytest.raises(ValueError):

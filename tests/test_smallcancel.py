@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -12,10 +13,10 @@ from groupshare.freegroup import (
     _from_chars,
     parse_word,
     random_reduced_word,
+    serialize_word,
 )
 from groupshare.scheme import WordColumn, decode_column, encode_column
 from groupshare.smallcancel import (
-    _closure,
     _conjugated_product,
     _dehn_index,
     _dehn_verdicts,
@@ -54,9 +55,11 @@ def orbit(letters):
 
 
 def symmetrize(relators):
-    """The members of the symmetrized closure, as words, in canonical order."""
+    """The members of the symmetrized closure, as words, in canonical
+    (length, chars) order."""
     alphabet = relators[0].alphabet
-    return tuple(_from_chars(alphabet, m) for m in _closure(relators))
+    members = sorted(Presentation(alphabet, tuple(relators)).closure, key=lambda m: (len(m), m))
+    return tuple(_from_chars(alphabet, m) for m in members)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +221,63 @@ def test_piece_scan_matches_brute_force_on_random_sets():
             if w.is_cyclically_reduced():
                 words.append(w)
         check_piece_scan(Presentation(A3, tuple(words)))
+
+
+def cyclic_words(lengths, alphabet, rng):
+    words = []
+    for length in lengths:
+        w = random_reduced_word(length, alphabet, rng)
+        while not w.is_cyclically_reduced():
+            w = random_reduced_word(length, alphabet, rng)
+        words.append(w)
+    return tuple(words)
+
+
+def test_piece_scan_reports_are_pinned():
+    # test_06's 1,000 samples at 1/6, then loose (C'(1/2)) and mixed-length
+    # presentations at three bounds: ratio, witness and verdict of each
+    # report, digested when the scan compared every neighbour letter by letter
+    cases = []
+    rng = Random(20260809)
+    for _ in range(1000):
+        cases.append((Presentation(A3, cyclic_words((40, 40, 40), A3, rng)), (SIXTH,)))
+    lambdas = (SIXTH, Fraction(1, 4), Fraction(1, 2))
+    rng = Random(7)
+    for _ in range(60):
+        cases.append((random_platform_group(3, 3, 10, "1/2", rng), lambdas))
+        alphabet = Alphabet(rng.randrange(2, 5))
+        lengths = [rng.randrange(3, 30) for _ in range(rng.randrange(1, 5))]
+        cases.append((Presentation(alphabet, cyclic_words(lengths, alphabet, rng)), lambdas))
+    h = hashlib.sha256()
+    satisfied = 0
+    for p, lams in cases:
+        for lam in lams:
+            r = check_small_cancellation(p, lam)
+            witness = "-" if r.witness is None else "|".join(map(serialize_word, r.witness))
+            h.update(f"{r.lambda_bound} {r.max_piece_ratio} {witness} {r.satisfied}\n".encode())
+            satisfied += r.satisfied
+    assert satisfied == 1022
+    assert h.hexdigest() == "3b9b9be54297232be06741e14ed840367da077b9d6f39ed067e93c39bc3591bf"
+
+
+def test_check_and_dehn_index_share_one_closure(platform_group):
+    p = Presentation(platform_group.alphabet, platform_group.relators)
+    first = check_small_cancellation(p, SIXTH)
+    closure = p.closure
+    assert list(closure) == sorted(set(closure))
+    _dehn_index.cache_clear()
+    index = _dehn_index(p)
+    assert p.closure is closure
+    # the index holds the closure's own member strings, not a rebuilt copy
+    held = {id(m) for m in closure}
+    members = [m for table in index.tables.values() for bucket in table.values() for m in bucket]
+    assert sorted(members) == list(closure)
+    assert all(id(m) in held for m in members)
+    # a second check, at any bound, reads the scan the first one ran
+    again = check_small_cancellation(p, Fraction(1, 2))
+    assert again.max_piece_ratio is first.max_piece_ratio
+    assert again.witness is first.witness
+    _dehn_index.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +566,7 @@ def opening_thresholds(p, chars):
     """For each position of ``chars``, the prefix lengths t at which more
     than half (t = |r| // 2 + 1 letters) of some symmetrized member r
     starts there, found by trying every member prefix at every position."""
-    prefixes = {m[: len(m) // 2 + 1] for m in _closure(p.relators)}
+    prefixes = {m[: len(m) // 2 + 1] for m in p.closure}
     return [sorted({len(u) for u in prefixes if chars.startswith(u, i)})
             for i in range(len(chars))]
 
