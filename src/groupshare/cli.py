@@ -103,7 +103,8 @@ def _build_parser() -> _Parser:
     rec.add_argument("--participants", required=True,
                      help="comma-separated participant indices, e.g. 1,3,4")
     rec.add_argument("--secure-sum", action="store_true",
-                     help="recombine through the masked ring and write a transcript")
+                     help="recombine through the masked ring (at least 3 participants) "
+                          "and write a transcript")
     rec.add_argument("--seed", type=int)
     rec.set_defaults(handler="cmd_recover")
 
@@ -249,6 +250,8 @@ def cmd_gen_group(args: argparse.Namespace) -> None:
 
 def cmd_deal(args: argparse.Namespace) -> None:
     _check_group_args(args)
+    if args.rank < 2:
+        raise UsageError("deal needs --rank at least 2: a 0 bit swaps a relator letter for another")
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     if args.mode == "tn":

@@ -53,19 +53,18 @@ def _letter(ch: str) -> int:
 
 
 # The codec runs as ``str.translate``, ``str.join`` and dict lookups over
-# tables of the packed codes of every rank up to _TABLE_RANK; the lookup
-# tables work out and keep any larger entry the first time it is asked for,
-# and the parser takes its general path.  Platform groups have small rank;
-# only Tietze rewriting goes far beyond it, and serializes little, so a wider
-# table would only add memory to every process (about 160 KB at rank 256).
+# tables of packed codes.  _FLIP and _SERIALIZE work out and keep each entry
+# the first time it is asked for, at any rank.  Only _PARSE is capped, at
+# _TABLE_RANK: beyond it the parser takes its general path, so a file that
+# declares a huge rank allocates no tokens for it.  Platform groups have
+# small rank; only Tietze rewriting goes far beyond it.
 _TABLE_RANK = 16
 
 
 class _Table(dict):
     """Lookup table: key -> ``entry(key)`` for any key, each worked out once."""
 
-    def __init__(self, keys: Iterable, entry: Callable):
-        super().__init__((key, entry(key)) for key in keys)
+    def __init__(self, entry: Callable):
         self.entry = entry
 
     def __missing__(self, key):
@@ -73,11 +72,8 @@ class _Table(dict):
         return value
 
 
-_CODES = range(2, 2 * _TABLE_RANK + 2)
-_FLIP = _Table(_CODES, lambda code: code ^ 1)  # inverse letter, for str.translate
-_SERIALIZE = _Table(
-    map(chr, _CODES), lambda ch: f"x{ord(ch) // 2}^-1" if ord(ch) % 2 else f"x{ord(ch) // 2}"
-)
+_FLIP = _Table(lambda code: code ^ 1)  # inverse letter, for str.translate
+_SERIALIZE = _Table(lambda ch: f"x{ord(ch) // 2}^-1" if ord(ch) % 2 else f"x{ord(ch) // 2}")
 # Indexed by rank r <= _TABLE_RANK: the tokens of that rank, and the 2r
 # two-letter strings that cancel.  A token of a higher generator misses the
 # table, so the parser's general path reports it.
@@ -115,10 +111,12 @@ def _reduce_chars(chars: Iterable[str]) -> str:
     return "".join(stack)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Word:
     """A freely reduced word over an :class:`Alphabet`; immutable value."""
 
-    __slots__ = ("alphabet", "chars")
+    alphabet: Alphabet
+    chars: str
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
         rank = alphabet.rank
@@ -129,9 +127,6 @@ class Word:
             packed.append(_char(letter))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "chars", _reduce_chars(packed))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Word is immutable")
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -145,14 +140,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.chars)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.chars == other.chars
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.chars))
 
     def __mul__(self, other: "Word") -> "Word":
         """Group product: reduced concatenation of ``self`` and ``other``."""

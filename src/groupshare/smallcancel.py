@@ -324,10 +324,9 @@ def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
 
 def _conjugated_product(
     p: Presentation, factor_count: int, conj_length: int, rng: Random, perturb: bool,
-) -> tuple[str, list[tuple[int, int, str]]]:
+) -> str:
     """The one word construction behind both bit values: a random nonempty
-    product ``prod h^-1 r^sign h`` of conjugated relators, packed, with its
-    factors (relator index, sign, packed conjugator).
+    product ``prod h^-1 r^sign h`` of conjugated relators, packed.
 
     With ``perturb``, one uniformly chosen factor's relator r = u a v has a
     uniformly chosen letter a replaced by a letter b != a that cancels
@@ -351,7 +350,6 @@ def _conjugated_product(
     for _ in range(_MAX_ATTEMPTS):
         altered = _below(getrandbits, factor_count) if perturb else -1
         acc = ""
-        certificate = []
         for i in range(factor_count):
             # ``_below`` inlined for the relator index and the sign, whose
             # bounds hold for the whole call: the same draws in the same order.
@@ -368,25 +366,9 @@ def _conjugated_product(
                 banned = (ord(r[pos]), ord(r[pos - 1]) ^ 1, ord(r[(pos + 1) % len(r)]) ^ 1)
                 subs = [code for code in range(2, 2 * rank + 2) if code not in banned]
                 r = r[:pos] + chr(subs[_below(getrandbits, len(subs))]) + r[pos + 1 :]
-            h_inv = _invert_chars(h)
-            if 2 * len(h) < len(r):
-                # r (even the altered one) is cyclically reduced, so h cancels
-                # into at most one end of it, and never through it.
-                cut = 0
-                while cut < len(h) and h[cut] == r[cut]:
-                    cut += 1
-                if cut:
-                    conjugate = h_inv[:-cut] + r[cut:] + h
-                else:
-                    while cut < len(h) and ord(h[cut]) ^ 1 == ord(r[-1 - cut]):
-                        cut += 1
-                    conjugate = h_inv + r[: len(r) - cut] + h[cut:]
-            else:
-                conjugate = _merge_chars(_merge_chars(h_inv, r), h)
-            acc = _merge_chars(acc, conjugate)
-            certificate.append((idx, -1 if inverted else 1, h))
+            acc = _merge_chars(acc, _merge_chars(_merge_chars(_invert_chars(h), r), h))
         if acc:
-            return acc, certificate
+            return acc
     raise BudgetExhausted(
         f"conjugate products collapsed to the identity {_MAX_ATTEMPTS} times in a row"
     )
@@ -394,15 +376,13 @@ def _conjugated_product(
 
 def make_trivial_word(p: Presentation, factor_count: int, conj_length: int, rng: Random) -> Word:
     """Random nonempty product of conjugated relators; trivial by construction."""
-    chars = _conjugated_product(p, factor_count, conj_length, rng, False)[0]
-    return _from_chars(p.alphabet, chars)
+    return _from_chars(p.alphabet, _conjugated_product(p, factor_count, conj_length, rng, False))
 
 
 def make_nontrivial_word(p: Presentation, factor_count: int, conj_length: int, rng: Random) -> Word:
     """The :func:`make_trivial_word` product with one letter of one relator
     factor changed: never 1 on a C'(1/6) presentation; ValueError at rank 1."""
-    chars = _conjugated_product(p, factor_count, conj_length, rng, True)[0]
-    return _from_chars(p.alphabet, chars)
+    return _from_chars(p.alphabet, _conjugated_product(p, factor_count, conj_length, rng, True))
 
 
 # ---------------------------------------------------------------------------

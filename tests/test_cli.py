@@ -342,6 +342,47 @@ def test_deal_refuses_lambda_above_one_sixth(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("mode", [["--mode", "nn", "--secret", "ab", "--n", "3"],
+                                  ["--mode", "tn", "--secret", "5", "--n", "3", "--t", "2",
+                                   "--p", "11"]], ids=["nn", "tn"])
+@pytest.mark.parametrize("relators", ["1", "3"])
+def test_deal_refuses_rank_one_before_sampling(tmp_path, capsys, monkeypatch, mode, relators):
+    # a 0 bit swaps a relator letter for a second letter, which rank 1 lacks;
+    # before, deal sampled every group and then exited 2 or 3
+    monkeypatch.setattr(cli, "random_platform_group", None)
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", *mode, "--rank", "1", "--relators", relators,
+                         "--seed", "1", "--session-dir", str(session))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: deal needs --rank at least 2")
+    assert not session.exists()
+
+
+def test_gen_group_takes_rank_one(tmp_path, capsys):
+    out = tmp_path / "g.grp"
+    code, stdout, _ = run(capsys, "gen-group", "--rank", "1", "--relators", "1",
+                          "--seed", "1", "--out", str(out))
+    assert code == 0 and "satisfied True" in stdout
+    assert parse_presentation(out.read_text()).alphabet.rank == 1
+
+
+@pytest.mark.parametrize("deal, participants", [
+    (["--mode", "nn", "--secret", "ab", "--n", "2"], "1,2"),
+    (["--mode", "tn", "--secret", "5", "--n", "3", "--t", "2", "--p", "11"], "1,3"),
+], ids=["nn", "tn"])
+def test_secure_sum_needs_three_participants(tmp_path, capsys, deal, participants):
+    session = tmp_path / "s"
+    assert run(capsys, "deal", *deal, "--seed", "1", "--session-dir", str(session))[0] == 0
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", participants, "--secure-sum", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: the masked ring needs at least 3 participants\n"
+    assert not (session / "transcripts").exists()
+    code, out, _ = run(capsys, "recover", "--session-dir", str(session),
+                       "--participants", participants)
+    assert code == 0 and out.strip() in ("ab", "5")
+
+
 def _loose_presentation() -> str:
     text = serialize_presentation(random_platform_group(3, 3, 10, "1/2", Random(1)))
     assert not check_small_cancellation(parse_presentation(text), "1/6").satisfied

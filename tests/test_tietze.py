@@ -10,14 +10,13 @@ from groupshare import tietze
 from groupshare.freegroup import (
     Alphabet,
     Word,
-    _from_chars,
     cyclic_permutations,
     cyclically_reduce,
     parse_word,
     random_reduced_word,
     serialize_word,
 )
-from groupshare.smallcancel import Presentation, _conjugated_product, random_platform_group
+from groupshare.smallcancel import Presentation, random_platform_group
 from groupshare.tietze import (
     T1Intro,
     T4Replace,
@@ -616,11 +615,15 @@ def test_trivial_word_transport_through_breakdown():
     ]
     links = [conjugator_linking(e, r) for e, r in zip(expanded, p.relators)]
     for _ in range(8):
-        chars, certificate = _conjugated_product(p, 3, 4, rng, False)
-        w = _from_chars(p.alphabet, chars)
-        rebuilt = Word(p.alphabet, [])
-        for idx, sign, h in certificate:
+        original = transported = Word(p.alphabet, [])
+        for _ in range(3):
+            idx = rng.randrange(len(p.relators))
+            sign = rng.choice((1, -1))
+            h = random_reduced_word(4, p.alphabet, rng)
+            r = p.relators[idx] if sign > 0 else p.relators[idx].inverse()
             body = expanded[idx] if sign > 0 else expanded[idx].inverse()
-            d = links[idx] * _from_chars(p.alphabet, h)
-            rebuilt = rebuilt * (d.inverse() * body * d)
-        assert rebuilt == w
+            d = links[idx] * h
+            original = original * (h.inverse() * r * h)
+            transported = transported * (d.inverse() * body * d)
+        assert original
+        assert transported == original
