@@ -334,9 +334,6 @@ def cmd_recover(args: argparse.Namespace) -> None:
         presentation = parse_presentation(secure_data.decode())
         if not presentation.relators:
             raise ValueError(f"{secure_name} has no relators")
-        if not check_small_cancellation(presentation, ONE_SIXTH).satisfied:
-            raise ValueError(f"{secure_name} does not satisfy C'(1/6), on which alone "
-                             "Dehn's algorithm decides the word problem")
         bundle = _parse_bundle(open_data.decode(), rank, k)
         if bundle.group_hint != j:
             raise ValueError(f"bundle {j} carries participant tag {bundle.group_hint}")

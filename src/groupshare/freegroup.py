@@ -36,8 +36,8 @@ class Alphabet:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("alphabet rank must be at least 1")
+        if not 1 <= self.rank <= 557055:  # x_rank^-1 packs as chr(2 * rank + 1)
+            raise ValueError(f"alphabet rank must lie in 1..557055, got {self.rank}")
 
 
 # ---------------------------------------------------------------------------

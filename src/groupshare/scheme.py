@@ -22,7 +22,8 @@ from typing import Sequence
 
 from .freegroup import Word, _below
 from .shamir import PrimeModulus, SharePoint, poly_eval, random_polynomial
-from .smallcancel import Presentation, _dehn_verdicts, make_nontrivial_word, make_trivial_word
+from .smallcancel import Presentation, _dehn_index, _dehn_verdicts
+from .smallcancel import make_nontrivial_word, make_trivial_word
 
 __all__ = [
     "BitColumn",
@@ -133,8 +134,13 @@ def encode_column(
 
 
 def decode_column(wc: WordColumn, g: Presentation) -> BitColumn:
-    """Read the bits back by solving the word problem entry by entry."""
-    return tuple(map(int, _dehn_verdicts(g, wc.words)))
+    """Read the bits back by solving the word problem entry by entry; refuse a
+    presentation that fails C'(1/6), where a 1 bit Dehn cannot reduce reads 0."""
+    index = _dehn_index(g)
+    if not index.decides:
+        raise ValueError(f"participant {wc.group_hint}'s presentation does not satisfy "
+                         "C'(1/6), on which alone Dehn's algorithm decides the word problem")
+    return tuple(map(int, _dehn_verdicts(index, g.alphabet, wc.words)))
 
 
 def recover_secret_nn(columns: Sequence[Sequence[int]]) -> BitColumn:

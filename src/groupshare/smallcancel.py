@@ -77,34 +77,31 @@ class Presentation:
     def _signed_chars(self) -> tuple[tuple[str, str], ...]:
         return tuple((r.chars, _invert_chars(r.chars)) for r in self.relators)
 
-    @cached_property
+    @property
     def closure(self) -> tuple[str, ...]:
-        """Packed members of R*: each relator and its inverse in every rotation, sorted."""
+        """Packed members of R*, sorted; built on each read, as ``_dehn_index`` keeps R*."""
         return tuple(sorted({base[i:] + base[:i] for signed in self._signed_chars
                              for base in signed for i in range(len(base))}))
 
-    @cached_property
-    def _largest_piece(self) -> tuple[Fraction, tuple[Word, Word] | None]:
-        """The largest ratio |u| / |r| of a piece u opening r in R*, and a witness (u, r)."""
-        # The longest common prefix of a member with any other is reached at
-        # a neighbour in lexicographic order, so one pass finds every piece.
-        members = self.closure
-        best_piece, best_length, found = 0, 1, ""  # the largest ratio so far, in integers
-        for a, b in zip(members, members[1:]):
-            shorter = min(len(a), len(b))
-            # the shortest common prefix whose ratio could beat the best
-            need = best_piece * shorter // best_length + 1
-            if need > shorter or not b.startswith(a[:need]):
-                continue
-            l = need
-            while l < shorter and a[l] == b[l]:
-                l += 1
-            for member in (a, b):
-                if l * best_length > best_piece * len(member):
-                    best_piece, best_length, found = l, len(member), member
-        witness = (_from_chars(self.alphabet, found[:best_piece]),
-                   _from_chars(self.alphabet, found)) if found else None
-        return Fraction(best_piece, best_length), witness
+
+def _largest_piece(members: tuple[str, ...]) -> tuple[int, int, str]:
+    """The largest ratio |u| / |r| of a piece u opening r in sorted R*, as (|u|, |r|, r)."""
+    # The longest common prefix of a member with any other is reached at
+    # a neighbour in lexicographic order, so one pass finds every piece.
+    best_piece, best_length, found = 0, 1, ""  # the largest ratio so far, in integers
+    for a, b in zip(members, members[1:]):
+        shorter = min(len(a), len(b))
+        # the shortest common prefix whose ratio could beat the best
+        need = best_piece * shorter // best_length + 1
+        if need > shorter or not b.startswith(a[:need]):
+            continue
+        l = need
+        while l < shorter and a[l] == b[l]:
+            l += 1
+        for member in (a, b):
+            if l * best_length > best_piece * len(member):
+                best_piece, best_length, found = l, len(member), member
+    return best_piece, best_length, found
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,10 @@ def check_small_cancellation(p: Presentation, lam: Fraction | str | int) -> Canc
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    best, witness = p._largest_piece
+    piece, length, member = _largest_piece(p.closure)
+    witness = (_from_chars(p.alphabet, member[:piece]),
+               _from_chars(p.alphabet, member)) if member else None
+    best = Fraction(piece, length)
     return CancellationReport(lam, best, witness, best < lam)
 
 
@@ -187,22 +187,26 @@ def random_platform_group(
 # Dehn's algorithm
 
 class _DehnIndex:
-    """Per-presentation search structure for over-half relator prefixes.
+    """R* of one presentation, indexed by over-half relator prefixes.
 
     For every symmetrized member r the minimal replaceable prefix length is
     t = |r| // 2 + 1 (the least length strictly greater than |r| / 2).
     ``tables[t]`` maps each length-t prefix to the members it opens, so a
     position starts a candidate exactly when one of its windows of a
-    length in ``thresholds`` is a key of the matching table.
+    length in ``thresholds`` is a key of the matching table.  ``decides``:
+    the presentation is C'(1/6), so Dehn's algorithm decides its word problem.
     """
 
-    __slots__ = ("tables", "thresholds")
+    __slots__ = ("decides", "tables", "thresholds")
 
     def __init__(self, p: Presentation):
+        members = p.closure
+        piece, length, _ = _largest_piece(members)
+        self.decides = 6 * piece < length
         tables: dict[int, dict[str, list[str]]] = {}
         # Stable by length over plain order: thresholds ascend, and each bucket
         # is in the (length, chars) order that settles ties in ``_dehn_scan``.
-        for member in sorted(p.closure, key=len):
+        for member in sorted(members, key=len):
             t = len(member) // 2 + 1
             tables.setdefault(t, {}).setdefault(member[:t], []).append(member)
         self.tables = {t: {k: tuple(v) for k, v in table.items()} for t, table in tables.items()}
@@ -224,8 +228,8 @@ class _DehnIndex:
         return found
 
 
-# A CLI process decodes each presentation once; the in-process callers that
-# reuse indexes hold at most 8 groups, and a larger cache only keeps dead ones.
+# Keyed by value, so an equal presentation parsed afresh finds R* built and scanned.
+# A CLI process decodes each once; in-process callers hold at most 8 groups at a time.
 @lru_cache(maxsize=8)
 def _dehn_index(p: Presentation) -> _DehnIndex:
     return _DehnIndex(p)
@@ -279,13 +283,12 @@ def _dehn_scan(index: _DehnIndex, chars: str, steps: list | None = None) -> str:
         chars = shorter
 
 
-def _dehn_verdicts(p: Presentation, words: Iterable[Word]) -> list[bool]:
-    """``dehn_is_trivial(p, w).is_trivial`` for each of ``words``, with no
-    trace built and the index of ``p`` looked up once."""
-    index = _dehn_index(p)
+def _dehn_verdicts(index: _DehnIndex, alphabet: Alphabet, words: Iterable[Word]) -> list[bool]:
+    """Whether Dehn's algorithm reduces each of ``words`` to 1 over ``index``,
+    with no trace built."""
     verdicts = []
     for w in words:
-        if w.alphabet != p.alphabet:
+        if w.alphabet != alphabet:
             raise ValueError("word and presentation use different alphabets")
         verdicts.append(not _dehn_scan(index, w.chars))
     return verdicts
@@ -299,8 +302,8 @@ def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
     one exists, replace u by v^-1 (strictly shorter) and re-reduce.  The
     word is trivial exactly when it shrinks to the empty word.  Scanning is
     deterministic: leftmost starting position first, then the longest match
-    there.  Completeness of the verdict relies on the presentation being
-    C'(1/6), which callers check.
+    there.  A reduction short of 1 proves ``w`` nontrivial only on a C'(1/6)
+    presentation, which ``decode_column`` checks and this function does not.
     """
     if w.alphabet != p.alphabet:
         raise ValueError("word and presentation use different alphabets")
@@ -416,7 +419,7 @@ def parse_presentation(text: str) -> Presentation:
             try:
                 alphabet = Alphabet(int(rest.strip()))
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad generators line {line!r}") from exc
+                raise ValueError(f"bad generators line {line!r}: {exc}") from exc
         elif keyword == "relator":
             if alphabet is None:
                 raise ValueError("relator line before generators line")

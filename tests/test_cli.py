@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshare import cli
+from groupshare import cli, smallcancel
 from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
 from groupshare.freegroup import serialize_word
 from groupshare.smallcancel import (
@@ -366,6 +366,17 @@ def test_gen_group_takes_rank_one(tmp_path, capsys):
     assert parse_presentation(out.read_text()).alphabet.rank == 1
 
 
+def test_ranks_past_the_last_code_point_are_refused_with_the_limit(tmp_path, capsys):
+    grp, out = tmp_path / "g.grp", tmp_path / "h.grp"
+    grp.write_text("generators 600000\nrelator x1 x2 x1 x2^-1 x600000\n")
+    for argv in (["gen-group", "--rank", "600000", "--seed", "1", "--out", str(out)],
+                 ["inspect", "--in", str(grp)]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and err.count("\n") == 1
+        assert "alphabet rank must lie in 1..557055, got 600000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("deal, participants", [
     (["--mode", "nn", "--secret", "ab", "--n", "2"], "1,2"),
     (["--mode", "tn", "--secret", "5", "--n", "3", "--t", "2", "--p", "11"], "1,3"),
@@ -391,7 +402,7 @@ def _loose_presentation() -> str:
 
 @pytest.mark.parametrize("loose, message", [
     (False, "secure/participant-2.grp has no relators"),
-    (True, "secure/participant-2.grp does not satisfy C'(1/6)"),
+    (True, "participant 2's presentation does not satisfy C'(1/6)"),
 ])
 def test_recover_refuses_presentations_dehn_cannot_decide(tmp_path, capsys, loose, message):
     session = tmp_path / "s"
@@ -404,6 +415,23 @@ def test_recover_refuses_presentations_dehn_cannot_decide(tmp_path, capsys, loos
                          "--participants", "1,2,3")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+def test_recovering_a_session_twice_builds_each_index_once(tmp_path, capsys, monkeypatch):
+    session = tmp_path / "s"
+    run(capsys, "deal", "--mode", "tn", "--secret", "4242", "--n", "5", "--t", "3",
+        "--p", "8191", "--seed", "2", "--session-dir", str(session))
+    scans = []
+    scan = smallcancel._largest_piece
+    monkeypatch.setattr(smallcancel, "_largest_piece",
+                        lambda members: scans.append(members) or scan(members))
+    smallcancel._dehn_index.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "recover", "--session-dir", str(session),
+                   "--participants", "1,3,5") == (0, "4242\n", "")
+        # the second recover finds every index, with its R* and scan, built
+        assert (len(scans), smallcancel._dehn_index.cache_info().misses) == (3, 3)
+    smallcancel._dehn_index.cache_clear()
 
 
 # int() also takes a 0x prefix, digit-group underscores, a sign, surrounding

@@ -49,6 +49,16 @@ def test_alphabet_requires_positive_rank():
         Alphabet(0)
 
 
+def test_alphabet_rank_stops_where_letters_stop_being_code_points():
+    # x_rank^-1 packs as code point 2 * rank + 1, and 0x10FFFF is the last
+    alphabet = Alphabet(557055)
+    w = Word(alphabet, [1, -557055, 557054])
+    assert max(map(ord, w.chars)) == 0x10FFFF
+    assert parse_word(serialize_word(w), alphabet) == w
+    with pytest.raises(ValueError, match=r"^alphabet rank must lie in 1\.\.557055, got 557056$"):
+        Alphabet(557056)
+
+
 def test_reduce_examples():
     assert Word(A2, [1, -1]).letters == ()
     assert Word(A3, [1, 2, -2, 3]).letters == (1, 3)

@@ -19,6 +19,8 @@ from groupshare.scheme import (
     split_secret,
 )
 from groupshare.shamir import PrimeModulus, interpolate_at_zero
+from groupshare.smallcancel import dehn_is_trivial, make_trivial_word
+from groupshare.tietze import break_relators
 
 bit_columns = st.lists(st.integers(0, 1), min_size=1, max_size=48).map(tuple)
 
@@ -213,6 +215,22 @@ def test_recover_share_flags_out_of_range_value(platform_group):
     wc = WordColumn((Word(platform_group.alphabet, []),) * 4, group_hint=2)
     with pytest.raises(ValueError, match="not a residue"):
         recover_share(wc, platform_group, 11)
+
+
+def test_decoding_refuses_a_presentation_dehn_cannot_decide(platform_group):
+    # tietze-break output presents the same group, but Dehn's algorithm
+    # leaves some of its trivial words unreduced, which would read as 0 bits
+    broken = break_relators(platform_group).presentation
+    rng = Random(41)
+    words = tuple(Word(broken.alphabet, make_trivial_word(platform_group, 2, 5, rng).letters)
+                  for _ in range(13))
+    assert not all(dehn_is_trivial(broken, w).is_trivial for w in words)
+    wc = WordColumn(words, group_hint=4)
+    refused = r"participant 4's presentation does not satisfy C'\(1/6\)"
+    with pytest.raises(ValueError, match=refused):
+        decode_column(wc, broken)
+    with pytest.raises(ValueError, match=refused):
+        recover_share(wc, broken, 8191)
 
 
 def test_wrong_group_does_not_decode(platform_groups):

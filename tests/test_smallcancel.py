@@ -20,6 +20,7 @@ from groupshare.freegroup import (
 from groupshare.scheme import WordColumn, decode_column, encode_column
 from groupshare.smallcancel import (
     _conjugated_product,
+    _DehnIndex,
     _dehn_index,
     _dehn_verdicts,
     BudgetExhausted,
@@ -101,7 +102,8 @@ def test_words_and_what_holds_them_survive_copying():
     report = check_small_cancellation(p, SIXTH)
     w = make_trivial_word(p, 2, 5, rng)
     column = encode_column([1, 0, 1, 1, 0], p, rng)
-    assert set(vars(p)) >= {"closure", "_largest_piece", "_signed_chars"}
+    # the fields and the one cached attribute: R* lives in the Dehn index
+    assert set(vars(p)) == {"alphabet", "relators", "_signed_chars"}
     assert hash(w) == hash((w.alphabet, w.chars))
     for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         assert clone(w) == w and hash(clone(w)) == hash(w)
@@ -282,23 +284,17 @@ def test_piece_scan_reports_are_pinned():
 
 
 def test_check_and_dehn_index_share_one_closure(platform_group):
-    p = Presentation(platform_group.alphabet, platform_group.relators)
-    first = check_small_cancellation(p, SIXTH)
-    closure = p.closure
-    assert list(closure) == sorted(set(closure))
-    _dehn_index.cache_clear()
-    index = _dehn_index(p)
-    assert p.closure is closure
-    # the index holds the closure's own member strings, not a rebuilt copy
-    held = {id(m) for m in closure}
-    members = [m for table in index.tables.values() for bucket in table.values() for m in bucket]
-    assert sorted(members) == list(closure)
-    assert all(id(m) in held for m in members)
-    # a second check, at any bound, reads the scan the first one ran
-    again = check_small_cancellation(p, Fraction(1, 2))
-    assert again.max_piece_ratio is first.max_piece_ratio
-    assert again.witness is first.witness
-    _dehn_index.cache_clear()
+    loose = random_platform_group(3, 3, 10, "1/2", Random(3))
+    assert not check_small_cancellation(loose, SIXTH).satisfied
+    for p in (platform_group, loose):
+        closure = p.closure
+        assert list(closure) == sorted(set(closure))
+        index = _DehnIndex(p)
+        # the tables hold each member of R* exactly once
+        members = [m for table in index.tables.values() for bucket in table.values()
+                   for m in bucket]
+        assert sorted(members) == list(closure)
+        assert index.decides == check_small_cancellation(p, SIXTH).satisfied
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +359,12 @@ def test_random_platform_group_passes_independent_check():
     assert len(p.relators) == 3
     assert all(len(r) == 40 for r in p.relators)
     assert check_small_cancellation(p, SIXTH).satisfied
+
+
+def test_sampled_groups_do_not_keep_their_closure():
+    # the sampler checks every candidate, but only a Dehn index keeps R*
+    p = random_platform_group(3, 3, 40, SIXTH, Random(99))
+    assert "closure" not in vars(p)
 
 
 def test_random_platform_group_rank_one_exhausts():
@@ -577,7 +579,7 @@ def test_verdict_scan_matches_the_traced_and_naive_verdicts(platform_group, kind
     else:
         p, w = multi_threshold_case(rng)
         words = [w]
-    verdicts = _dehn_verdicts(p, words)
+    verdicts = _dehn_verdicts(_dehn_index(p), p.alphabet, words)
     assert len(verdicts) == len(words)
     for verdict, w in zip(verdicts, words):
         assert verdict is dehn_is_trivial(p, w).is_trivial is naive_dehn(p, w).is_trivial
