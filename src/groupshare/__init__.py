@@ -39,7 +39,6 @@ from .securesum import (
     run_secure_sum,
 )
 from .shamir import (
-    Polynomial,
     PrimeModulus,
     SharePoint,
     interpolate_at_zero,

@@ -356,7 +356,10 @@ def cmd_recover(args: argparse.Namespace) -> None:
         secret = str(value)
 
     if transcript is not None:
-        name = "recover-" + "-".join(map(str, listed)) + ".log"
+        joined = "-".join(map(str, listed))
+        name = f"recover-{joined}.log"
+        if len(name) > 255:  # the usual file name limit, in bytes
+            name = f"recover-sha256-{hashlib.sha256(joined.encode()).hexdigest()}.log"
         _write(session / "transcripts" / name, export_transcript(transcript))
     print(secret)
 
@@ -382,9 +385,7 @@ def cmd_inspect(args: argparse.Namespace) -> None:
     w = parse_word(args.word, p.alphabet)
     trace = dehn_is_trivial(p, w)
     print(f"word {serialize_word(w)}")
-    # Dehn's reduction to 1 is a proof anywhere; its failure decides only on C'(1/6)
-    decided = trace.is_trivial or check_small_cancellation(p, ONE_SIXTH).satisfied
-    print(f"trivial {trace.is_trivial if decided else 'unknown'}")
+    print(f"trivial {'unknown' if trace.is_trivial is None else trace.is_trivial}")
     print(f"steps {len(trace.steps)}")
     for i, step in enumerate(trace.steps, start=1):
         print(

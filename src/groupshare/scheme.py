@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .freegroup import Word, _below
 from .shamir import PrimeModulus, SharePoint, poly_eval, random_polynomial
-from .smallcancel import Presentation, _dehn_index, _dehn_verdicts
+from .smallcancel import Presentation, _dehn_index, _dehn_scan
 from .smallcancel import make_nontrivial_word, make_trivial_word
 
 __all__ = [
@@ -73,8 +73,6 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.t <= self.n:
             raise ValueError("need 1 <= t <= n")
-        if self.k < 1:
-            raise ValueError("column width must be positive")
         if self.n >= self.p.p:
             raise ValueError("need n < p so share indices stay distinct")
         if self.k < self.p.p.bit_length():
@@ -113,10 +111,10 @@ def encode_column(
     share: Sequence[int],
     g: Presentation,
     rng: Random,
-    group_hint: int = 0,
+    group_hint: int,
 ) -> WordColumn:
-    """Encode share bits as words over ``g``: bit 1 becomes a word equal to
-    1 in the group, bit 0 a word not equal to 1.
+    """Encode share bits as words over ``g`` for participant ``group_hint``:
+    bit 1 becomes a word equal to 1 in the group, bit 0 a word not equal to 1.
 
     Both bit values come from one construction with the same draws: a
     product of conjugated relators, with one letter of one relator factor
@@ -134,13 +132,19 @@ def encode_column(
 
 
 def decode_column(wc: WordColumn, g: Presentation) -> BitColumn:
-    """Read the bits back by solving the word problem entry by entry; refuse a
-    presentation that fails C'(1/6), where a 1 bit Dehn cannot reduce reads 0."""
+    """Read the bits back with one Dehn reduction per word, no trace built: 1
+    where it reaches 1.  Refuse a presentation that fails C'(1/6), where a 1
+    bit Dehn cannot reduce would read 0."""
     index = _dehn_index(g)
     if not index.decides:
         raise ValueError(f"participant {wc.group_hint}'s presentation does not satisfy "
                          "C'(1/6), on which alone Dehn's algorithm decides the word problem")
-    return tuple(map(int, _dehn_verdicts(index, g.alphabet, wc.words)))
+    bits = []
+    for w in wc.words:
+        if w.alphabet != g.alphabet:
+            raise ValueError("word and presentation use different alphabets")
+        bits.append(not _dehn_scan(index, w.chars))
+    return tuple(map(int, bits))
 
 
 def recover_secret_nn(columns: Sequence[Sequence[int]]) -> BitColumn:

@@ -13,7 +13,6 @@ from typing import Sequence
 
 __all__ = [
     "PrimeModulus",
-    "Polynomial",
     "SharePoint",
     "is_prime",
     "random_polynomial",
@@ -64,13 +63,6 @@ class PrimeModulus:
 
 
 @dataclass(frozen=True)
-class Polynomial:
-    """Coefficients c_0..c_{t-1}, constant term first."""
-
-    coefficients: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SharePoint:
     """Evaluation point (index, value mod p); index 0 is reserved for the secret."""
 
@@ -82,8 +74,9 @@ class SharePoint:
             raise ValueError("share index must be at least 1")
 
 
-def random_polynomial(secret: int, t: int, p: int, rng: Random) -> Polynomial:
-    """Uniform polynomial of degree exactly t - 1 with f(0) = secret.
+def random_polynomial(secret: int, t: int, p: int, rng: Random) -> tuple[int, ...]:
+    """Coefficients, constant term first, of a uniform polynomial of degree
+    exactly t - 1 with f(0) = secret.
 
     The leading coefficient is sampled nonzero so the degree does not drop
     (t = 1 pins the constant polynomial, where no such freedom exists).
@@ -96,12 +89,13 @@ def random_polynomial(secret: int, t: int, p: int, rng: Random) -> Polynomial:
     coeffs.extend(rng.randrange(p) for _ in range(t - 2))
     if t >= 2:
         coeffs.append(rng.randrange(1, p))
-    return Polynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def poly_eval(f: Polynomial, x: int, p: int) -> int:
+def poly_eval(f: Sequence[int], x: int, p: int) -> int:
+    """f(x) mod p for coefficients ``f``, constant term first (Horner)."""
     acc = 0
-    for c in reversed(f.coefficients):
+    for c in reversed(f):
         acc = (acc * x + c) % p
     return acc
 

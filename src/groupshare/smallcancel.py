@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from random import Random
-from typing import Iterable
 
 from .freegroup import (
     Alphabet,
@@ -122,9 +121,12 @@ class DehnStep:
 
 @dataclass(frozen=True)
 class DehnTrace:
+    """One Dehn reduction; ``is_trivial`` is None where it stops short of 1
+    on a presentation that fails C'(1/6), on which Dehn does not decide."""
+
     steps: tuple[DehnStep, ...]
     final_word: Word
-    is_trivial: bool
+    is_trivial: bool | None
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +285,22 @@ def _dehn_scan(index: _DehnIndex, chars: str, steps: list | None = None) -> str:
         chars = shorter
 
 
-def _dehn_verdicts(index: _DehnIndex, alphabet: Alphabet, words: Iterable[Word]) -> list[bool]:
-    """Whether Dehn's algorithm reduces each of ``words`` to 1 over ``index``,
-    with no trace built."""
-    verdicts = []
-    for w in words:
-        if w.alphabet != alphabet:
-            raise ValueError("word and presentation use different alphabets")
-        verdicts.append(not _dehn_scan(index, w.chars))
-    return verdicts
-
-
 def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
     """Decide whether ``w`` equals the identity by Dehn reduction.
 
     Repeatedly scan the freely reduced current word for a subword u such
     that some symmetrized relator factors as u * v with |u| > |r| / 2; if
-    one exists, replace u by v^-1 (strictly shorter) and re-reduce.  The
-    word is trivial exactly when it shrinks to the empty word.  Scanning is
-    deterministic: leftmost starting position first, then the longest match
-    there.  A reduction short of 1 proves ``w`` nontrivial only on a C'(1/6)
-    presentation, which ``decode_column`` checks and this function does not.
+    one exists, replace u by v^-1 (strictly shorter) and re-reduce.  Scanning
+    is deterministic: leftmost starting position first, then the longest
+    match there.  Reaching the empty word proves ``w`` trivial anywhere;
+    stopping short of it proves ``w`` nontrivial on a C'(1/6) presentation
+    and decides nothing on any other, where ``is_trivial`` is None.
     """
     if w.alphabet != p.alphabet:
         raise ValueError("word and presentation use different alphabets")
     found: list[tuple[int, int, str]] = []
-    chars = _dehn_scan(_dehn_index(p), w.chars, found)
+    index = _dehn_index(p)
+    chars = _dehn_scan(index, w.chars, found)
     alphabet = p.alphabet
     steps = tuple(
         DehnStep(
@@ -319,7 +311,8 @@ def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
         )
         for pos, length, member in found
     )
-    return DehnTrace(steps, _from_chars(alphabet, chars), not chars)
+    verdict = True if not chars else (False if index.decides else None)
+    return DehnTrace(steps, _from_chars(alphabet, chars), verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from groupshare.scheme import (
 )
 from groupshare.securesum import run_secure_linear_combination, run_secure_sum
 from groupshare.shamir import (
-    Polynomial,
     PrimeModulus,
     SharePoint,
     interpolate_at_zero,
@@ -158,7 +157,7 @@ def test_03_threshold_secrecy_at_desk_scale():
                     xs = [0] + [i for i, _ in held]
                     ys = [candidate] + [y for _, y in held]
                     coeffs = _solve_vandermonde(xs, ys, p)
-                    g = Polynomial(tuple(coeffs))
+                    g = tuple(coeffs)
                     good = poly_eval(g, 0, p) == candidate and all(
                         poly_eval(g, i, p) == y for i, y in held
                     )
@@ -173,7 +172,7 @@ def test_03_threshold_secrecy_at_desk_scale():
         count = 0
         for c1 in range(p):
             for c2 in range(p):
-                g = Polynomial((candidate, c1, c2))
+                g = (candidate, c1, c2)
                 if all(poly_eval(g, i, p) == y for i, y in held):
                     count += 1
         if count != 1:

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from groupshare import cli, smallcancel
 from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
-from groupshare.freegroup import serialize_word
+from groupshare.freegroup import parse_word, serialize_word
 from groupshare.smallcancel import (
     check_small_cancellation,
+    dehn_is_trivial,
+    make_nontrivial_word,
     make_trivial_word,
     parse_presentation,
     random_platform_group,
@@ -491,6 +493,23 @@ def test_tn_secure_sum_matches_plain(tn_session, capsys):
     assert (tn_session / "transcripts" / "recover-1-3-5.log").exists()
 
 
+def test_secure_sum_transcript_names_stay_within_the_file_name_limit(tmp_path, capsys):
+    session = tmp_path / "s"
+    assert run(capsys, "deal", "--mode", "tn", "--secret", "4242", "--n", "90", "--t", "3",
+               "--p", "8191", "--seed", "3", "--session-dir", str(session))[0] == 0
+    transcripts = session / "transcripts"
+    # the plain name of 1..84 is 254 bytes; from 85 listed on, the list's digest names the log
+    plain = f"recover-{'-'.join(map(str, range(1, 85)))}.log"
+    digest = hashlib.sha256("-".join(map(str, range(1, 91))).encode()).hexdigest()
+    assert len(plain) == 254
+    for last, name in [(84, plain), (90, f"recover-sha256-{digest}.log")]:
+        code, out, err = run(capsys, "recover", "--session-dir", str(session), "--participants",
+                             ",".join(map(str, range(1, last + 1))), "--secure-sum")
+        assert (code, out, err) == (0, "4242\n", "")
+        assert [log.name for log in transcripts.iterdir()] == [name]
+        shutil.rmtree(transcripts)
+
+
 @pytest.mark.parametrize("key, value", [("p", "8209"), ("t", "2"), ("n", "6")])
 def test_recover_rejects_edited_manifest_header(tn_session, tmp_path, capsys, key, value):
     # without the header in the MAC, p 8209 (a prime above every share)
@@ -768,6 +787,28 @@ def test_inspect_word_is_unknown_where_dehn_cannot_decide(tmp_path, capsys):
     assert code == 0 and err == "" and "trivial unknown\n" in out
     code, out, err = run(capsys, "inspect", "--in", str(grp), "--word", word)
     assert code == 0 and err == "" and "trivial True\n" in out
+
+
+def test_dehn_verdict_is_none_only_where_dehn_cannot_decide(platform_group):
+    loose = parse_presentation(_loose_presentation())
+    assert dehn_is_trivial(loose, parse_word("x1 x2", loose.alphabet)).is_trivial is None
+    assert dehn_is_trivial(loose, loose.relators[0]).is_trivial is True
+    w = make_nontrivial_word(platform_group, 2, 3, Random(3))
+    assert dehn_is_trivial(platform_group, w).is_trivial is False
+
+
+def test_inspect_word_scans_the_presentation_once(tmp_path, capsys, monkeypatch):
+    loose = tmp_path / "loose.grp"
+    loose.write_text(_loose_presentation())
+    scans = []
+    scan = smallcancel._largest_piece
+    monkeypatch.setattr(smallcancel, "_largest_piece",
+                        lambda members: scans.append(members) or scan(members))
+    smallcancel._dehn_index.cache_clear()
+    code, out, err = run(capsys, "inspect", "--in", str(loose), "--word", "x1 x2")
+    assert code == 0 and err == "" and "trivial unknown\n" in out
+    assert len(scans) == 1
+    smallcancel._dehn_index.cache_clear()
 
 
 def test_inspect_rejects_bad_word(tmp_path, capsys):

@@ -93,13 +93,13 @@ def test_int_column_round_trip_exhaustive():
 
 def test_encode_all_ones_decodes_all_ones(platform_group):
     rng = Random(11)
-    wc = encode_column((1,) * 6, platform_group, rng)
+    wc = encode_column((1,) * 6, platform_group, rng, group_hint=1)
     assert decode_column(wc, platform_group) == (1,) * 6
 
 
 def test_encode_all_zeros_decodes_all_zeros(platform_group):
     rng = Random(12)
-    wc = encode_column((0,) * 6, platform_group, rng)
+    wc = encode_column((0,) * 6, platform_group, rng, group_hint=1)
     assert decode_column(wc, platform_group) == (0,) * 6
 
 
@@ -107,8 +107,13 @@ def test_encode_decode_round_trip_random_shares(platform_group):
     rng = Random(13)
     for _ in range(20):
         share = tuple(rng.getrandbits(1) for _ in range(10))
-        wc = encode_column(share, platform_group, rng)
+        wc = encode_column(share, platform_group, rng, group_hint=1)
         assert decode_column(wc, platform_group) == share
+
+
+def test_encode_column_needs_a_participant(platform_group):
+    with pytest.raises(TypeError):
+        encode_column((1, 0), platform_group, Random(1))
 
 
 def test_decode_identity_words_are_ones(platform_group):
@@ -125,8 +130,8 @@ def test_decode_single_letters_are_zeros(platform_group):
 
 def test_word_lengths_carry_no_bit_information(platform_group):
     rng = Random(17)
-    ones = encode_column((1,) * 150, platform_group, rng)
-    zeros = encode_column((0,) * 150, platform_group, rng)
+    ones = encode_column((1,) * 150, platform_group, rng, group_hint=1)
+    zeros = encode_column((0,) * 150, platform_group, rng, group_hint=1)
     a = sorted(len(w) for w in ones.words)
     b = sorted(len(w) for w in zeros.words)
     # two-sample Kolmogorov-Smirnov distance

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshare.shamir import (
-    Polynomial,
     PrimeModulus,
     SharePoint,
     interpolate_at_zero,
@@ -62,21 +61,21 @@ def test_share_point_index_positive():
 
 def test_random_polynomial_threshold_one_is_constant():
     f = random_polynomial(5, 1, 11, Random(0))
-    assert f.coefficients == (5,)
+    assert f == (5,)
     assert all(poly_eval(f, x, 11) == 5 for x in range(11))
 
 
 def test_random_polynomial_contract():
     f = random_polynomial(5, 3, 11, Random(4))
-    assert len(f.coefficients) == 3
-    assert f.coefficients[0] == 5
-    assert f.coefficients[-1] != 0
+    assert len(f) == 3
+    assert f[0] == 5
+    assert f[-1] != 0
 
 
 def test_random_polynomial_leading_coefficient_never_zero():
     rng = Random(10)
     assert all(
-        random_polynomial(7, 4, 31, rng).coefficients[-1] != 0 for _ in range(10_000)
+        random_polynomial(7, 4, 31, rng)[-1] != 0 for _ in range(10_000)
     )
 
 
@@ -90,7 +89,7 @@ def test_random_polynomial_validates():
 
 
 def test_poly_eval_oracle_values():
-    f = Polynomial((5, 3, 2))  # 5 + 3x + 2x^2
+    f = (5, 3, 2)  # 5 + 3x + 2x^2
     assert poly_eval(f, 1, 11) == (5 + 3 + 2) % 11 == 10
     assert poly_eval(f, 2, 11) == (5 + 6 + 8) % 11 == 8
     assert poly_eval(f, 3, 11) == (5 + 9 + 18) % 11 == 10
@@ -99,7 +98,7 @@ def test_poly_eval_oracle_values():
 @given(st.lists(st.integers(0, 10), min_size=1, max_size=5), st.integers(0, 10))
 def test_poly_eval_matches_direct_sum(coeffs, x):
     p = 11
-    f = Polynomial(tuple(coeffs))
+    f = tuple(coeffs)
     direct = sum(c * x**i for i, c in enumerate(coeffs)) % p
     assert poly_eval(f, x, p) == direct
     assert poly_eval(f, 0, p) == coeffs[0] % p
@@ -174,7 +173,7 @@ def test_perfect_secrecy_by_exhaustive_coefficient_search():
         for candidate in range(p):
             consistent = 0
             for tail in product(range(p), repeat=t - 1):
-                g = Polynomial((candidate,) + tail)
+                g = (candidate,) + tail
                 if all(poly_eval(g, pt.index, p) == pt.value for pt in held):
                     consistent += 1
             assert consistent == 1

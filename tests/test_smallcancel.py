@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from random import Random
 
@@ -22,7 +23,7 @@ from groupshare.smallcancel import (
     _conjugated_product,
     _DehnIndex,
     _dehn_index,
-    _dehn_verdicts,
+    _dehn_scan,
     BudgetExhausted,
     DehnStep,
     DehnTrace,
@@ -101,7 +102,7 @@ def test_words_and_what_holds_them_survive_copying():
     p = random_platform_group(3, 3, 40, SIXTH, rng)
     report = check_small_cancellation(p, SIXTH)
     w = make_trivial_word(p, 2, 5, rng)
-    column = encode_column([1, 0, 1, 1, 0], p, rng)
+    column = encode_column([1, 0, 1, 1, 0], p, rng, group_hint=1)
     # the fields and the one cached attribute: R* lives in the Dehn index
     assert set(vars(p)) == {"alphabet", "relators", "_signed_chars"}
     assert hash(w) == hash((w.alphabet, w.chars))
@@ -119,7 +120,7 @@ def test_words_and_what_holds_them_survive_copying():
 def test_decoding_a_column_builds_one_dehn_index(platform_group):
     rng = Random(5)
     bits = [rng.randrange(2) for _ in range(16)]
-    column = encode_column(bits, platform_group, rng)
+    column = encode_column(bits, platform_group, rng, group_hint=1)
     _dehn_index.cache_clear()
     assert decode_column(column, platform_group) == tuple(bits)
     info = _dehn_index.cache_info()
@@ -189,6 +190,7 @@ def test_symmetrize_idempotent_and_closed():
         assert m.inverse() in s
 
 
+@cache
 def brute_force_piece_ratio(relators):
     """Largest |piece| / |member| over every pair of distinct members of the
     closure built by the independent ``orbit`` oracle."""
@@ -458,7 +460,8 @@ def naive_dehn(p, w):
     """Reference Dehn reduction: at every step try every position from the
     left and every symmetrized member in canonical order, take the leftmost
     position where some member matches more than half of itself, and there
-    the longest match, the first member winning a tie."""
+    the longest match, the first member winning a tie.  Short of 1 the
+    verdict is None unless the brute-force piece ratio is below 1/6."""
     members = [(r, r.letters) for r in symmetrize(p.relators)]
     current = w
     steps = []
@@ -475,7 +478,8 @@ def naive_dehn(p, w):
             if best is not None:
                 break
         if best is None:
-            return DehnTrace(tuple(steps), current, not current)
+            decided = not current or brute_force_piece_ratio(p.relators) < SIXTH
+            return DehnTrace(tuple(steps), current, not current if decided else None)
         pos, n, r = best
         replaced = Word(p.alphabet, r.letters[:n])
         replacement = Word(p.alphabet, r.letters[n:]).inverse()
@@ -486,7 +490,7 @@ def naive_dehn(p, w):
 def test_dehn_matches_naive_scan_on_dealt_words(platform_group):
     rng = Random(61)
     bits = [rng.randrange(2) for _ in range(24)]
-    column = encode_column(bits, platform_group, rng)
+    column = encode_column(bits, platform_group, rng, group_hint=1)
     for w in column.words:
         assert dehn_is_trivial(platform_group, w) == naive_dehn(platform_group, w)
 
@@ -570,7 +574,7 @@ def test_verdict_scan_matches_the_traced_and_naive_verdicts(platform_group, kind
     p = platform_group
     if kind == "dealt":
         bits = [rng.randrange(2) for _ in range(3)]
-        words = encode_column(bits, p, rng).words
+        words = encode_column(bits, p, rng, group_hint=1).words
     elif kind == "random":
         words = [random_reduced_word(rng.randrange(0, 70), p.alphabet, rng)]
     elif kind == "bare":
@@ -579,10 +583,11 @@ def test_verdict_scan_matches_the_traced_and_naive_verdicts(platform_group, kind
     else:
         p, w = multi_threshold_case(rng)
         words = [w]
-    verdicts = _dehn_verdicts(_dehn_index(p), p.alphabet, words)
-    assert len(verdicts) == len(words)
-    for verdict, w in zip(verdicts, words):
-        assert verdict is dehn_is_trivial(p, w).is_trivial is naive_dehn(p, w).is_trivial
+    for w in words:
+        verdict = not _dehn_scan(_dehn_index(p), w.chars)
+        trace = dehn_is_trivial(p, w)
+        assert verdict is bool(trace.is_trivial)
+        assert trace.is_trivial is naive_dehn(p, w).is_trivial
 
 
 def opening_thresholds(p, chars):
@@ -597,7 +602,8 @@ def opening_thresholds(p, chars):
 def test_leftmost_matches_a_brute_force_at_every_start(platform_group):
     rng = Random(109)
     p = platform_group
-    cases = [(p, w) for w in encode_column([rng.randrange(2) for _ in range(6)], p, rng).words]
+    bits = [rng.randrange(2) for _ in range(6)]
+    cases = [(p, w) for w in encode_column(bits, p, rng, group_hint=1).words]
     cases += [(p, random_reduced_word(rng.randrange(0, 70), p.alphabet, rng)) for _ in range(10)]
     cases += [multi_threshold_case(rng) for _ in range(60)]
     # leftmost scans the thresholds shortest first and stops each later scan
@@ -786,7 +792,7 @@ def test_word_construction_keeps_the_randrange_stream():
                 assert ours.getstate() == theirs.getstate()
         # a column draws each word's factor and conjugator counts first
         bits = [setup.randrange(2) for _ in range(8)] if rank > 1 else [1] * 8
-        column = encode_column(bits, p, ours)
+        column = encode_column(bits, p, ours, group_hint=1)
         assert column.words == randrange_column(bits, p, theirs)
         assert ours.getstate() == theirs.getstate()
 
