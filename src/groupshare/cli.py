@@ -355,13 +355,14 @@ def cmd_recover(args: argparse.Namespace) -> None:
             value = interpolate_at_zero(points, p)
         secret = str(value)
 
+    # the secret first: a transcript that cannot be written must not lose it
+    print(secret)
     if transcript is not None:
         joined = "-".join(map(str, listed))
         name = f"recover-{joined}.log"
         if len(name) > 255:  # the usual file name limit, in bytes
             name = f"recover-sha256-{hashlib.sha256(joined.encode()).hexdigest()}.log"
         _write(session / "transcripts" / name, export_transcript(transcript))
-    print(secret)
 
 
 def cmd_tietze_break(args: argparse.Namespace) -> None:

@@ -6,33 +6,32 @@ the over-half subwords that trivial words must contain, and breaking does
 not hide it: over broken presentations a 3-gram attack still read share
 bits with advantage 0.853 to 0.978 (n=8, k=256).
 
-Breaking works on packed relator strings and logs each splice: counted
-rounds absorb the most frequent pair class until every class occurs once,
-then one pass shortens each overlong relator from its front.  The
-equivalent list of elementary Tietze moves is worked out from that log on
-first read of ``BreakdownResult.moves``: T1, which introduces a generator
-together with its defining relator, and T4', which replaces one relator by
-a variant of it that generates the same normal closure.  The CLI never
-reads the list; :func:`replay` applies it move by move and is the check
-that the rewrite is an isomorphism.
+Breaking works on packed relator strings: counted rounds absorb the most
+frequent pair class until every class occurs once, then one pass shortens
+each overlong relator from its front.  ``BreakdownResult.moves`` restates
+the rewrite as Tietze moves: T1, which adds a generator with its defining
+relator, once per new generator, then T4, which replaces a relator, once
+per rewritten input relator.  :func:`replay` accepts a T4 only where both
+relators expand through the definitions to cyclic permutations of one
+word, so it is the check that the rewrite is an isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain, compress, tee
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .freegroup import (
     Alphabet,
     Word,
-    _cyclic_core,
     _from_chars,
     _invert_chars,
-    _merge_chars,
     _reduce_chars,
+    cyclic_permutations,
+    cyclically_reduce,
     serialize_word,
 )
 from .smallcancel import Presentation, serialize_presentation
@@ -51,23 +50,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class T1Intro:
-    """Introduce generator x_{m+1} defined by the word ``definition``;
-    appends the relator x_{m+1} * definition^-1."""
+    """Introduce generator x_{m+1} defined by the word ``definition`` over
+    x_1 .. x_m; appends the defining relator x_{m+1}^-1 * definition."""
 
     definition: Word
 
 
 @dataclass(frozen=True)
 class T4Replace:
-    """Replace relator i by the formula ``variant``, freely and cyclically
-    reduced: ``"r_i^-1"``, ``"r_j r_i"`` with j = ``other`` a distinct
-    relator, or ``"x^-1 r_i x"`` and ``"x r_i x^-1"`` with x = ``generator``.
-    """
+    """Replace input relator i by ``replacement``, a word over the current
+    generators that equals it modulo the defining relators: both expand
+    through the definitions to cyclic permutations of one word."""
 
     relator: int
-    variant: str
-    other: int | None = None
-    generator: int | None = None
+    replacement: Word
 
 
 TietzeMove = Union[T1Intro, T4Replace]
@@ -79,121 +75,73 @@ class BreakdownResult:
 
     ``definitions`` maps each introduced generator index to its defining
     word over strictly earlier generators, in introduction order.
-    ``splices`` logs the rewrite, one ``(g, i, before, inverse)`` per
-    splice: generator g took the place of its pair, or with ``inverse`` g^-1
-    of the pair's inverse, in relator i after the packed letters ``before``.
-    ``moves`` is the whole rewrite as elementary moves, which :func:`replay`
-    takes from the input presentation to ``presentation``; it is worked out
-    from the log on first read and kept.
+    ``moves`` is the rewrite as Tietze moves, which :func:`replay` takes
+    from the input presentation to ``presentation``: one T1 per definition,
+    then one T4 per input relator that breaking rewrote.  It is built from
+    the two fields on first read and kept.
     """
 
     presentation: Presentation
     definitions: dict[int, Word]
-    splices: tuple[tuple[int, int, str, bool], ...]
 
     @cached_property
     def moves(self) -> tuple[TietzeMove, ...]:
         defined = len(self.definitions)
-        base = self.presentation.alphabet.rank - defined
-        inputs = len(self.presentation.relators) - defined
-        # Memoised per call, so that map() over them runs at C speed: moves
-        # are values, so each rotation is built once.
-        rotations = [
-            (cache(partial(_rotation, idx, False)), cache(partial(_rotation, idx, True)))
-            for idx in range(inputs)
-        ]
-        moves: list[TietzeMove] = []
-        current = None
-        for g, idx, before, inverse in self.splices:
-            if g != current:
-                # T1 appends g b^-1 a^-1; inverting it and conjugating by g gives
-                # the defining relator q = g^-1 a b
-                current, q = g, inputs + g - base - 1
-                invert = T4Replace(q, "r_i^-1")
-                conjugate_by_g = T4Replace(q, "x^-1 r_i x", generator=g)
-                moves += (T1Intro(self.definitions[g]), invert, conjugate_by_g)
-                # q r turns a leading b^-1 a^-1 into g^-1; turned into g b^-1 a^-1
-                # for the product and back, q turns a leading a b into g
-                turn = (invert, T4Replace(q, "x r_i x^-1", generator=g))
-                unturn = (conjugate_by_g, invert)
-            left, right = rotations[idx]
-            product = T4Replace(idx, "r_j r_i", other=q)
-            moves += map(left, before)
-            moves += (product,) if inverse else (*turn, product, *unturn)
-            moves += map(right, reversed(before))
-        return tuple(moves)
+        inputs = self.presentation.relators[: -defined or None]
+        # a rewritten relator holds a new generator; the others passed through
+        top = chr(2 * (self.presentation.alphabet.rank - defined) + 1)
+        rewritten = (T4Replace(i, r) for i, r in enumerate(inputs) if max(r.chars) > top)
+        return (*map(T1Intro, self.definitions.values()), *rewritten)
 
 
 # ---------------------------------------------------------------------------
 # applying moves
 
-def _replacement(relators: Sequence[str], rank: int, move: T4Replace) -> str:
-    """The packed relator that ``move`` puts in place of relator i."""
-    i = move.relator
-    if not 0 <= i < len(relators):
-        raise ValueError(f"relator index {i} out of range")
-    r = relators[i]
-    variant = move.variant
-    if variant == "r_i^-1":
-        replacement = _invert_chars(r)
-    elif variant == "r_j r_i":
-        j = move.other
-        if j is None or not 0 <= j < len(relators):
-            raise ValueError("product variant needs a valid partner index")
-        if j == i:
-            raise ValueError("product variant requires j != i")
-        replacement = _merge_chars(relators[j], r)
-    elif variant in ("x^-1 r_i x", "x r_i x^-1"):
-        k = move.generator
-        if k is None or not 1 <= k <= rank:
-            raise ValueError("conjugation variant needs a valid generator")
-        # the letter on the right of r_i, and its inverse on the left
-        right = chr(2 * k + (variant == "x r_i x^-1"))
-        replacement = _merge_chars(_merge_chars(chr(ord(right) ^ 1), r), right)
-    else:
-        raise ValueError(f"unrecognized T4' variant {variant!r}")
-    replacement = _cyclic_core(replacement)
-    if not replacement:
-        raise ValueError("replacement relator collapses to the empty word")
-    return replacement
-
-
 def replay(p: Presentation, moves: Iterable[TietzeMove]) -> Presentation:
     """Apply ``moves`` to ``p`` in order; a single move is ``replay(p, [move])``.
 
     Each move is checked against the rank and relators that the moves
-    before it left, and a bad one raises ``ValueError``.  The relators stay
-    packed strings throughout, and one :class:`Presentation` is built, and
-    validated, at the end.
+    before it left, and a bad one raises ``ValueError``.  A T4 may replace
+    one of ``p``'s own relators, never one that a T1 added, by a nonempty
+    word over the current generators; its expansion through the T1
+    definitions so far, cyclically reduced, must be a cyclic permutation
+    of the old relator's.  Every word equals its expansion modulo the
+    defining relators, which no move removes, so each accepted T4 keeps the
+    normal closure.  One :class:`Presentation` is built, and validated, at
+    the end, over the alphabet that the last T1 left.
     """
-    relators = [r.chars for r in p.relators]
+    relators = list(p.relators)
+    inputs = len(relators)
     rank = p.alphabet.rank
+    definitions: dict[int, Word] = {}
     for move in moves:
         if isinstance(move, T4Replace):
-            relators[move.relator] = _replacement(relators, rank, move)
+            i, new = move.relator, move.replacement
+            if not 0 <= i < inputs:
+                raise ValueError(f"relator index {i} names no input relator")
+            if new.alphabet.rank != rank:
+                raise ValueError("replacement word is not over the presentation's alphabet")
+            if not new:
+                raise ValueError("replacement relator is empty")
+            old = cyclically_reduce(expand_word(relators[i], definitions))
+            if cyclically_reduce(expand_word(new, definitions)) not in cyclic_permutations(old):
+                raise ValueError(f"replacement is not relator {i} modulo the definitions")
+            relators[i] = new
         elif isinstance(move, T1Intro):
             if move.definition.alphabet.rank != rank:
                 raise ValueError("definition word is not over the presentation's alphabet")
             # the new generator occurs nowhere in the definition, so nothing cancels
             rank += 1
-            relators.append(chr(2 * rank) + _invert_chars(move.definition.chars))
+            definitions[rank] = move.definition
+            relators.append(_from_chars(Alphabet(rank), chr(2 * rank + 1) + move.definition.chars))
         else:
             raise ValueError(f"unrecognized move {move!r}")
     alphabet = Alphabet(rank)
-    return Presentation(alphabet, tuple(_from_chars(alphabet, r) for r in relators))
+    return Presentation(alphabet, tuple(_from_chars(alphabet, r.chars) for r in relators))
 
 
 # ---------------------------------------------------------------------------
 # breaking relators down to length <= 3
-
-def _rotation(idx: int, back: bool, letter: str) -> T4Replace:
-    """The T4' move that rotates relator idx left past its first letter,
-    ``letter``, or with ``back`` right past its last: conjugation by that
-    letter's generator, x^-1 r x or x r x^-1.  Rotating right past a letter
-    is the move that rotates left past its inverse."""
-    code = ord(letter) ^ back
-    return T4Replace(idx, "x r_i x^-1" if code & 1 else "x^-1 r_i x", generator=code >> 1)
-
 
 def _pair_class(pair: str) -> str:
     """A pair's class up to inversion: the lesser of it and its inverse."""
@@ -231,19 +179,14 @@ def break_relators(p: Presentation) -> BreakdownResult:
     class, replaces each overlong relator's first pair until 3 letters are
     left.
 
-    Each splice is logged, and ``moves`` is worked out from that log on
-    first read: the T1 and T4' moves that carry out each splice, where the
-    relator is rotated left past the letters before the occurrence,
-    multiplied on the left by a conjugate of the defining relator, and
-    rotated back.  The output is not computed from the moves, and the CLI
-    never reads them; the tests replay them to the output as the
-    isomorphism certificate.
+    The output is not computed from moves.  ``moves`` restates it when it
+    is first read, which the CLI never does; the tests replay the moves to
+    the output as the isomorphism certificate.
     """
     relators = [r.chars for r in p.relators]  # rewritten in place
     defining: list[str] = []  # g^-1 a b per generator, appended after them
     rank = p.alphabet.rank
     definitions: dict[int, Word] = {}
-    splices: list[tuple[int, int, str, bool]] = []
     # Memoised per call, so that map() over it runs at C speed.
     classes = cache(_pair_class)
 
@@ -279,18 +222,16 @@ def break_relators(p: Presentation) -> BreakdownResult:
                 # leftmost first, the pair before its inverse at one place
                 # (which cannot happen: a reduced pair is not its inverse)
                 if direct >= 0 and (inverted < 0 or direct <= inverted):
-                    pos, head, inverse = direct, chr(2 * g), False
+                    pos, head = direct, chr(2 * g)
                 elif inverted >= 0:
-                    pos, head, inverse = inverted, chr(2 * g + 1), True
+                    pos, head = inverted, chr(2 * g + 1)
                 else:
                     break
-                before = r[:pos]
-                splices.append((g, idx, before, inverse))
                 # the pairs on and beside the spliced one leave the count,
                 # and all of them when the relator drops to 3 letters
                 lo = max(pos - 1, 0)
                 count(r if len(r) == 4 else r[lo : pos + 3], -1)
-                r = relators[idx] = before + head + r[pos + 2 :]
+                r = relators[idx] = r[:pos] + head + r[pos + 2 :]
                 if len(r) >= 4:
                     count(r[lo : pos + 2], 1)
     # every class occurs once: each round's one splice is at the front
@@ -301,11 +242,10 @@ def break_relators(p: Presentation) -> BreakdownResult:
             definitions[g] = _from_chars(Alphabet(g - 1), pair)
             defining.append(chr(2 * g + 1) + pair)
             inverse = pair != r[:2]
-            splices.append((g, idx, "", inverse))
             r = relators[idx] = chr(2 * g + inverse) + r[2:]
     alphabet = Alphabet(rank)
     out = tuple(_from_chars(alphabet, r) for r in relators + defining)
-    return BreakdownResult(Presentation(alphabet, out), definitions, tuple(splices))
+    return BreakdownResult(Presentation(alphabet, out), definitions)
 
 
 def expand_word(w: Word, definitions: Mapping[int, Word]) -> Word:

@@ -510,6 +510,18 @@ def test_secure_sum_transcript_names_stay_within_the_file_name_limit(tmp_path, c
         shutil.rmtree(transcripts)
 
 
+def test_secure_sum_prints_the_secret_when_the_transcript_cannot_be_written(tmp_path, capsys):
+    # the transcript used to be written first, so a failed write lost a correct recovery
+    session = tmp_path / "s"
+    assert run(capsys, "deal", "--mode", "nn", "--secret", "ab", "--n", "3", "--seed", "1",
+               "--session-dir", str(session))[0] == 0
+    (session / "transcripts").touch()
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3", "--secure-sum")
+    assert (code, out) == (2, "ab\n")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key, value", [("p", "8209"), ("t", "2"), ("n", "6")])
 def test_recover_rejects_edited_manifest_header(tn_session, tmp_path, capsys, key, value):
     # without the header in the MAC, p 8209 (a prime above every share)
