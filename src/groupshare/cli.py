@@ -5,15 +5,18 @@ Subcommands:
   gen-group     sample a C'(1/6) platform presentation and write it out
   deal          run the dealer: sample per-participant C'(1/6) groups (secure
                 payloads), split/encode the secret, write share bundles
-                (open payloads) and a session manifest
-  recover       decode listed participants' bundles and recombine, either
-                plainly or through the masked-ring secure sum
+                (open payloads) and a session manifest into a new or empty
+                --session-dir
+  recover       decode the listed participants' bundles, opening no other
+                participant's files, and recombine, either plainly or
+                through the masked-ring secure sum
   tietze-break  rewrite a presentation so every relator has length <= 3
   inspect       report the cancellation condition, or trace a word through
                 Dehn reduction
 
 Every command is deterministic for a given --seed; without one, the seed
-comes from the operating system.  Exit codes: 0 success, 1 usage, 2 bad
+comes from the operating system.  Only the session codec section knows
+the session directory's layout.  Exit codes: 0 success, 1 usage, 2 bad
 data or precondition, 3 sampling budget exhausted.
 """
 
@@ -139,6 +142,26 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _parse_participants(raw: str, n: int) -> list[int]:
+    try:
+        listed = sorted({int(x) for x in raw.split(",") if x.strip()})
+    except ValueError as exc:
+        raise UsageError(f"bad participant list {raw!r}") from exc
+    if not listed:
+        raise UsageError("empty participant list")
+    if any(j < 1 or j > n for j in listed):
+        raise ValueError(f"participant index out of range 1..{n}")
+    return listed
+
+
+# ---------------------------------------------------------------------------
+# session codec: the one place that knows a session directory's layout, its
+# manifest, secure/participant-j.grp, open/bundle-j.txt and transcripts/
+
+_SECURE, _OPEN, _MAC_KEY = "secure/participant-{}.grp", "open/bundle-{}.txt", "hmac-sha256:"
+_MAC = _MAC_KEY + "participant-{}"
+
+
 def _int_field(fields: dict[str, str], key: str, source: str) -> int:
     if key not in fields:
         raise ValueError(f"{source} has no {key} field")
@@ -176,9 +199,6 @@ def _parse_bundle(text: str, rank: int, k: int) -> WordColumn:
     return WordColumn(tuple(words), group_hint=participant)
 
 
-_MAC_KEY = "hmac-sha256:"
-
-
 def _bundle_mac(presentation: bytes, header: str, bundle: bytes) -> str:
     """HMAC-SHA256 of the manifest header and one bundle, keyed by that
     participant's presentation text under a fixed label.
@@ -195,37 +215,70 @@ def _bundle_mac(presentation: bytes, header: str, bundle: bytes) -> str:
     return hmac.new(key, message, hashlib.sha256).hexdigest()
 
 
-def _manifest_text(entries: dict[str, str]) -> str:
+def _manifest_text(entries: dict[str, object]) -> str:
     return "\n".join(f"{key} {value}" for key, value in entries.items()) + "\n"
 
 
-def _manifest_header(manifest: dict[str, str]) -> str:
-    """Every manifest line except the MACs, in file order."""
-    return _manifest_text({k: v for k, v in manifest.items() if not k.startswith(_MAC_KEY)})
+def _write_session(session: Path, mode: str, t: int, k: int, rank: int, p, groups, columns):
+    """Write each presentation and bundle, then the manifest (no p line if p is None)."""
+    fields = {"mode": mode, "n": len(groups), "t": t, "k": k, "rank": rank, "p": p}
+    manifest = {key: value for key, value in fields.items() if value is not None}
+    header = _manifest_text(manifest)
+    for j, (g, column) in enumerate(zip(groups, columns), start=1):
+        secure, bundle = serialize_presentation(g), _bundle_text(column, k)
+        _write(session / _SECURE.format(j), secure)
+        _write(session / _OPEN.format(j), bundle)
+        manifest[_MAC.format(j)] = _bundle_mac(secure.encode(), header, bundle.encode())
+    _write(session / "manifest", _manifest_text(manifest))
 
 
-def _read_manifest(session: Path) -> dict[str, str]:
+def _read_manifest(session: Path) -> tuple[dict[str, str], str]:
+    """The manifest's values by key, and the header text that its MACs cover."""
     path = session / "manifest"
     if not path.exists():
         raise ValueError(f"no manifest in {session}")
-    out = {}
-    for line in path.read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition(" ")
-            out[key] = value
-    return out
+    lines = [line.partition(" ")[::2] for line in path.read_text().splitlines() if line.strip()]
+    return dict(lines), _manifest_text({k: v for k, v in lines if not k.startswith(_MAC_KEY)})
 
 
-def _parse_participants(raw: str, n: int) -> list[int]:
-    try:
-        listed = sorted({int(x) for x in raw.split(",") if x.strip()})
-    except ValueError as exc:
-        raise UsageError(f"bad participant list {raw!r}") from exc
-    if not listed:
-        raise UsageError("empty participant list")
-    if any(j < 1 or j > n for j in listed):
-        raise ValueError(f"participant index out of range 1..{n}")
-    return listed
+def _read_open(session: Path):
+    """The public side, read from the manifest and open/ alone: (mode, n, t, k, rank,
+    p), the header text, and ``bundle``, which reads participant j's MAC and bundle."""
+    manifest, header = _read_manifest(session)
+    mode = manifest.get("mode")
+    if mode not in ("nn", "tn"):
+        raise ValueError(f"manifest mode must be nn or tn, got {mode!r}")
+    n, t, k, rank = (_int_field(manifest, key, "manifest") for key in ("n", "t", "k", "rank"))
+    p = _int_field(manifest, "p", "manifest") if mode == "tn" else None
+
+    def bundle(j: int) -> tuple[str, bytes]:
+        return manifest.get(_MAC.format(j), ""), (session / _OPEN.format(j)).read_bytes()
+    return (mode, n, t, k, rank, p), header, bundle
+
+
+def _read_holder(session: Path, j: int, header: str, mac: str, bundle: bytes, rank: int, k: int):
+    """Participant j's presentation and column, parsed only once the MAC keyed by
+    secure/participant-j.grp checks out over ``header`` and exactly ``bundle``."""
+    secure_name, open_name = _SECURE.format(j), _OPEN.format(j)
+    secure = (session / secure_name).read_bytes()
+    if not hmac.compare_digest(_bundle_mac(secure, header, bundle).encode(), mac.encode()):
+        raise ValueError(f"MAC check failed for participant {j}: the manifest "
+                         f"header, {secure_name} or {open_name} was changed")
+    presentation = parse_presentation(secure.decode())
+    if not presentation.relators:
+        raise ValueError(f"{secure_name} has no relators")
+    column = _parse_bundle(bundle.decode(), rank, k)
+    if column.group_hint != j:
+        raise ValueError(f"bundle {j} carries participant tag {column.group_hint}")
+    return presentation, column
+
+
+def _write_transcript(session: Path, listed: list[int], text: str) -> None:
+    joined = "-".join(map(str, listed))
+    name = f"recover-{joined}.log"
+    if len(name) > 255:  # the usual file name limit, in bytes
+        name = f"recover-sha256-{hashlib.sha256(joined.encode()).hexdigest()}.log"
+    _write(session / "transcripts" / name, text)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +307,12 @@ def cmd_deal(args: argparse.Namespace) -> None:
         raise UsageError("deal needs --rank at least 2: a 0 bit swaps a relator letter for another")
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    rng = Random(args.seed)
     if args.mode == "tn":
         if args.t is None or args.p is None:
             raise UsageError("tn mode requires --t and --p")
         if not 1 <= args.t <= args.n:
             raise UsageError("need 1 <= t <= n")
-    elif args.t is not None or args.p is not None:
-        raise UsageError("nn mode takes no --t or --p: every participant is needed")
-    rng = Random(args.seed)
-    session = Path(args.session_dir)
-
-    if args.mode == "tn":
         modulus = PrimeModulus(args.p)
         if not re.fullmatch("[0-9]+", args.secret):
             raise ValueError(f"tn secret must be decimal, got {args.secret!r}")
@@ -272,83 +320,45 @@ def cmd_deal(args: argparse.Namespace) -> None:
         if not 0 <= secret < modulus.p:
             raise ValueError(f"secret out of range [0, {modulus.p})")
         k = modulus.p.bit_length()
-        cfg = SessionConfig(n=args.n, t=args.t, k=k, p=modulus)
-        deal = partial(deal_tn, secret, cfg, rng=rng)
-        t_value = args.t
+        deal = partial(deal_tn, secret, SessionConfig(n=args.n, t=args.t, k=k, p=modulus), rng=rng)
+        t, p = args.t, args.p
     else:
+        if args.t is not None or args.p is not None:
+            raise UsageError("nn mode takes no --t or --p: every participant is needed")
         if not re.fullmatch("[0-9a-fA-F]+", args.secret):
             raise ValueError(f"nn secret must be hex, got {args.secret!r}")
-        secret_value = int(args.secret, 16)
         k = 4 * len(args.secret)
-        bits = int_to_column(secret_value, k)
-        deal = partial(deal_nn, bits, rng=rng)
-        t_value = args.n
+        deal = partial(deal_nn, int_to_column(int(args.secret, 16), k), rng=rng)
+        t, p = args.n, None
+    session = Path(args.session_dir)
+    if session.exists() and any(session.iterdir()):
+        raise ValueError(f"session directory {session} is not empty")
     groups = [random_platform_group(args.rank, args.relators, args.length, ONE_SIXTH, rng)
               for _ in range(args.n)]
-    columns = deal(groups)
-
-    manifest = {"mode": args.mode, "n": str(args.n), "t": str(t_value), "k": str(k),
-                "rank": str(args.rank)}
-    if args.mode == "tn":
-        manifest["p"] = str(args.p)
-    header = _manifest_text(manifest)
-    for j, (g, column) in enumerate(zip(groups, columns), start=1):
-        secure_text, open_text = serialize_presentation(g), _bundle_text(column, k)
-        _write(session / f"secure/participant-{j}.grp", secure_text)
-        _write(session / f"open/bundle-{j}.txt", open_text)
-        manifest[f"{_MAC_KEY}participant-{j}"] = _bundle_mac(
-            secure_text.encode(), header, open_text.encode()
-        )
-    _write(session / "manifest", _manifest_text(manifest))
+    _write_session(session, args.mode, t, k, args.rank, p, groups, deal(groups))
     print(f"dealt {args.mode} session for {args.n} participants into {session}")
 
 
 def cmd_recover(args: argparse.Namespace) -> None:
     session = Path(args.session_dir)
-    manifest = _read_manifest(session)
-    mode = manifest.get("mode")
-    if mode not in ("nn", "tn"):
-        raise ValueError(f"manifest mode must be nn or tn, got {mode!r}")
-    n, t, k, rank = (_int_field(manifest, key, "manifest") for key in ("n", "t", "k", "rank"))
-    p = _int_field(manifest, "p", "manifest") if mode == "tn" else None
+    (mode, n, t, k, rank, p), header, bundle = _read_open(session)
     listed = _parse_participants(args.participants, n)
-
     required = n if mode == "nn" else t
     if len(listed) < required:
-        raise ValueError(
-            f"insufficient shares: {mode} recovery needs {required} participants, "
-            f"got {len(listed)}"
-        )
-
-    header = _manifest_header(manifest)
-    decoded = {}
-    for j in listed:
-        secure_name, open_name = f"secure/participant-{j}.grp", f"open/bundle-{j}.txt"
-        secure_data = (session / secure_name).read_bytes()
-        open_data = (session / open_name).read_bytes()
-        mac = manifest.get(f"{_MAC_KEY}participant-{j}", "")
-        if not hmac.compare_digest(_bundle_mac(secure_data, header, open_data).encode(),
-                                   mac.encode()):
-            raise ValueError(f"MAC check failed for participant {j}: the manifest "
-                             f"header, {secure_name} or {open_name} was changed")
-        presentation = parse_presentation(secure_data.decode())
-        if not presentation.relators:
-            raise ValueError(f"{secure_name} has no relators")
-        bundle = _parse_bundle(open_data.decode(), rank, k)
-        if bundle.group_hint != j:
-            raise ValueError(f"bundle {j} carries participant tag {bundle.group_hint}")
-        decoded[j] = (presentation, bundle)
+        raise ValueError(f"insufficient shares: {mode} recovery needs {required} participants, "
+                         f"got {len(listed)}")
+    decoded = [_read_holder(session, j, header, *bundle(j), rank, k) for j in listed]
 
     transcript = None
     if mode == "nn":
-        columns = [decode_column(bundle, pres) for pres, bundle in decoded.values()]
+        columns = [decode_column(column, pres) for pres, column in decoded]
         if args.secure_sum:
             result, transcript = run_secure_sum(columns, Random(args.seed))
         else:
             result = recover_secret_nn(columns)
         secret = format(column_to_int(result), f"0{k // 4}x")
     else:
-        points = [recover_share(bundle, pres, p) for pres, bundle in decoded.values()]
+        points = [recover_share(column, pres, p) for pres, column in decoded]
         if args.secure_sum:
             value, transcript = run_secure_linear_combination(points, p, Random(args.seed))
         else:
@@ -358,11 +368,7 @@ def cmd_recover(args: argparse.Namespace) -> None:
     # the secret first: a transcript that cannot be written must not lose it
     print(secret)
     if transcript is not None:
-        joined = "-".join(map(str, listed))
-        name = f"recover-{joined}.log"
-        if len(name) > 255:  # the usual file name limit, in bytes
-            name = f"recover-sha256-{hashlib.sha256(joined.encode()).hexdigest()}.log"
-        _write(session / "transcripts" / name, export_transcript(transcript))
+        _write_transcript(session, listed, export_transcript(transcript))
 
 
 def cmd_tietze_break(args: argparse.Namespace) -> None:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupshare import cli, smallcancel
-from groupshare.cli import _bundle_mac, _manifest_header, _read_manifest, main
+from groupshare.cli import _bundle_mac, _read_manifest, _read_open, main
 from groupshare.freegroup import parse_word, serialize_word
 from groupshare.smallcancel import (
     check_small_cancellation,
@@ -300,7 +300,7 @@ def _commit_mac(session: Path, j: int) -> None:
     manifest = session / "manifest"
     mac = _bundle_mac(
         (session / "secure" / f"participant-{j}.grp").read_bytes(),
-        _manifest_header(_read_manifest(session)),
+        _read_manifest(session)[1],
         (session / "open" / f"bundle-{j}.txt").read_bytes(),
     )
     manifest.write_text(_set_value(f"hmac-sha256:participant-{j}", mac)(manifest.read_text()))
@@ -318,7 +318,7 @@ def test_recover_rejects_mac_forged_from_a_presentation_digest(tmp_path, capsys)
     assert digest.hex() not in (session / "manifest").read_text()
     _flip_bundle_letter(session)
     bundle = (session / "open" / "bundle-2.txt").read_bytes()
-    header = hashlib.sha256(_manifest_header(_read_manifest(session)).encode()).digest()
+    header = hashlib.sha256(_read_manifest(session)[1].encode()).digest()
     for message in (bundle, header + bundle):
         forged = hmac.new(digest, message, hashlib.sha256).hexdigest()
         manifest = session / "manifest"
@@ -534,6 +534,81 @@ def test_recover_rejects_edited_manifest_header(tn_session, tmp_path, capsys, ke
                          "--participants", "1,2,3")
     assert code == 2 and out == ""
     assert err.startswith("error: MAC check failed for participant 1: ")
+
+
+def _tn_copy(tn_session, tmp_path) -> Path:
+    session = tmp_path / "s"
+    shutil.copytree(tn_session, session, ignore=shutil.ignore_patterns("transcripts"))
+    return session
+
+
+def test_recover_opens_only_the_listed_participants_files(tn_session, tmp_path, capsys):
+    session = _tn_copy(tn_session, tmp_path)
+    for j in (2, 4):
+        (session / "secure" / f"participant-{j}.grp").unlink()
+        (session / "open" / f"bundle-{j}.txt").unlink()
+    assert run(capsys, "recover", "--session-dir", str(session),
+               "--participants", "1,3,5") == (0, "4242\n", "")
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_recover_reads_each_file_of_the_listed_participants_once(tn_session, tmp_path,
+                                                                 capsys, monkeypatch):
+    # one read per file, so the bytes that the MAC covers are the bytes that get parsed
+    session = _tn_copy(tn_session, tmp_path)
+    reads = []
+
+    def counted(original):
+        def read(path, *args, **kwargs):
+            reads.append(path.relative_to(session).as_posix())
+            return original(path, *args, **kwargs)
+        return read
+
+    for name in ("read_bytes", "read_text"):
+        monkeypatch.setattr(Path, name, counted(getattr(Path, name)))
+    assert run(capsys, "recover", "--session-dir", str(session),
+               "--participants", "1,3,5") == (0, "4242\n", "")
+    assert sorted(reads) == sorted(["manifest", *(f"open/bundle-{j}.txt" for j in (1, 3, 5)),
+                                    *(f"secure/participant-{j}.grp" for j in (1, 3, 5))])
+
+
+def test_public_side_reader_needs_no_secure_files(tn_session, tmp_path):
+    session = _tn_copy(tn_session, tmp_path)
+    shutil.rmtree(session / "secure")
+    manifest = (session / "manifest").read_text().splitlines(True)
+    values, header, bundle = _read_open(session)
+    assert values == ("tn", 5, 3, 13, 3, 8191)
+    assert header == "".join(line for line in manifest if not line.startswith("hmac-sha256:"))
+    for j in range(1, 6):
+        mac = next(line.split()[1] for line in manifest
+                   if line.startswith(f"hmac-sha256:participant-{j} "))
+        assert bundle(j) == (mac, (session / "open" / f"bundle-{j}.txt").read_bytes())
+
+
+def test_deal_refuses_a_session_dir_that_is_not_empty(tmp_path, capsys, monkeypatch):
+    # an n=2 deal over an n=3 session used to leave participant 3's files
+    # next to the new manifest
+    session = tmp_path / "s"
+    deal = ["deal", "--mode", "nn", "--secret", "ab", "--seed", "1", "--session-dir", str(session)]
+    assert run(capsys, *deal, "--n", "3")[0] == 0
+    before = tree_bytes(session)
+    monkeypatch.setattr(cli, "random_platform_group", None)
+    code, out, err = run(capsys, *deal, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: session directory {session} is not empty\n"
+    assert tree_bytes(session) == before
+
+
+def test_deal_takes_an_empty_session_dir(tmp_path, capsys):
+    session = tmp_path / "s"
+    session.mkdir()
+    assert run(capsys, "deal", "--mode", "nn", "--secret", "ab", "--n", "2", "--seed", "1",
+               "--session-dir", str(session))[0] == 0
+    assert run(capsys, "recover", "--session-dir", str(session),
+               "--participants", "1,2")[:2] == (0, "ab\n")
 
 
 def test_tn_usage_validation(tmp_path, capsys):
