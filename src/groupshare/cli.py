@@ -14,10 +14,10 @@ Subcommands:
   inspect       report the cancellation condition, or trace a word through
                 Dehn reduction
 
-Every command is deterministic for a given --seed; without one, the seed
-comes from the operating system.  Only the session codec section knows
-the session directory's layout.  Exit codes: 0 success, 1 usage, 2 bad
-data or precondition, 3 sampling budget exhausted.
+Every command is deterministic for a given --seed; without one, it draws
+from the operating system's random source.  Only the session codec
+section knows the session directory's layout.  Exit codes: 0 success,
+1 usage, 2 bad data or precondition, 3 sampling budget exhausted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import re
 import sys
 from functools import cache, partial
 from pathlib import Path
-from random import Random
+from random import Random, SystemRandom
 
 from .freegroup import Alphabet, parse_word, serialize_word
 from .scheme import (
@@ -135,6 +135,12 @@ def _print_report(report: CancellationReport) -> None:
         print(f"witness-piece {serialize_word(piece)}")
         print(f"witness-relator {serialize_word(relator)}")
     print(f"satisfied {report.satisfied}")
+
+
+def _rng(seed: int | None) -> Random:
+    """``Random(seed)`` for a seeded run; the operating system's source
+    otherwise, so that no eavesdropper can model the draws."""
+    return Random(seed) if seed is not None else SystemRandom()
 
 
 def _write(path: Path, text: str) -> None:
@@ -294,7 +300,7 @@ def _check_group_args(args: argparse.Namespace) -> None:
 
 def cmd_gen_group(args: argparse.Namespace) -> None:
     _check_group_args(args)
-    rng = Random(args.seed)
+    rng = _rng(args.seed)
     p = random_platform_group(args.rank, args.relators, args.length, ONE_SIXTH, rng)
     _write(Path(args.out), serialize_presentation(p))
     _print_report(check_small_cancellation(p, ONE_SIXTH))
@@ -307,7 +313,7 @@ def cmd_deal(args: argparse.Namespace) -> None:
         raise UsageError("deal needs --rank at least 2: a 0 bit swaps a relator letter for another")
     if args.n < 2:
         raise UsageError("--n must be at least 2")
-    rng = Random(args.seed)
+    rng = _rng(args.seed)
     if args.mode == "tn":
         if args.t is None or args.p is None:
             raise UsageError("tn mode requires --t and --p")
@@ -353,14 +359,14 @@ def cmd_recover(args: argparse.Namespace) -> None:
     if mode == "nn":
         columns = [decode_column(column, pres) for pres, column in decoded]
         if args.secure_sum:
-            result, transcript = run_secure_sum(columns, Random(args.seed))
+            result, transcript = run_secure_sum(columns, _rng(args.seed))
         else:
             result = recover_secret_nn(columns)
         secret = format(column_to_int(result), f"0{k // 4}x")
     else:
         points = [recover_share(column, pres, p) for pres, column in decoded]
         if args.secure_sum:
-            value, transcript = run_secure_linear_combination(points, p, Random(args.seed))
+            value, transcript = run_secure_linear_combination(points, p, _rng(args.seed))
         else:
             value = interpolate_at_zero(points, p)
         secret = str(value)

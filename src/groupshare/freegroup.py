@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "Alphabet",
@@ -135,9 +135,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.chars)
 
-    def __iter__(self) -> Iterator[int]:
-        return (_letter(c) for c in self.chars)
-
     def __bool__(self) -> bool:
         return bool(self.chars)
 
@@ -169,17 +166,14 @@ def _from_chars(alphabet: Alphabet, chars: str) -> Word:
 # ---------------------------------------------------------------------------
 # operations
 
-def _cyclic_core(s: str) -> str:
-    """A reduced string with the letters that cancel around its ends removed."""
+def cyclically_reduce(w: Word) -> Word:
+    """``w`` with the letters that cancel around its ends removed."""
+    s = w.chars
     lo, hi = 0, len(s)
     while hi - lo >= 2 and ord(s[lo]) ^ 1 == ord(s[hi - 1]):
         lo += 1
         hi -= 1
-    return s[lo:hi]
-
-
-def cyclically_reduce(w: Word) -> Word:
-    return _from_chars(w.alphabet, _cyclic_core(w.chars))
+    return _from_chars(w.alphabet, s[lo:hi])
 
 
 def cyclic_permutations(w: Word) -> frozenset[Word]:

@@ -53,8 +53,6 @@ class Message:
 @dataclass(frozen=True)
 class Transcript:
     kind: str  # "xor" or "modp"
-    n: int
-    width: int  # bit width (xor) or 0
     modulus: int  # p (modp) or 0
     messages: tuple[Message, ...]
 
@@ -85,9 +83,8 @@ def run_secure_sum(inputs: Sequence[Sequence[int]], rng: Random) -> tuple[BitCol
     if len(inputs) < 3:
         raise ValueError("the masked ring needs at least 3 participants")
     cols = _check_columns(inputs)
-    width = len(cols[0])
-    masks = [tuple(rng.getrandbits(1) for _ in range(width)) for _ in cols]
-    tr = Transcript("xor", len(cols), width, 0, _ring(cols, masks, _xor, _xor))
+    masks = [tuple(rng.getrandbits(1) for _ in col) for col in cols]
+    tr = Transcript("xor", 0, _ring(cols, masks, _xor, _xor))
     return tr.output, tr
 
 
@@ -102,13 +99,13 @@ def run_secure_linear_combination(
     weighted = [c * (s.value % p) % p for c, s in zip(coefficients, shares)]
     masks = [rng.randrange(p) for _ in shares]
     messages = _ring(weighted, masks, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p)
-    tr = Transcript("modp", len(shares), 0, p, messages)
+    tr = Transcript("modp", p, messages)
     return tr.output, tr
 
 
 def _payload_hex(tr: Transcript, payload: Payload) -> str:
     if tr.kind == "xor":
-        return format(column_to_int(payload), f"0{(tr.width + 3) // 4}x")
+        return format(column_to_int(payload), f"0{(len(payload) + 3) // 4}x")
     return format(payload, "x")
 
 

@@ -1,8 +1,9 @@
 """Arithmetic in Z_p for the threshold layer.
 
-Polynomial sampling with a pinned constant term, Horner evaluation,
-Lagrange coefficients for interpolation at zero, and the interpolation
-itself.  Everything is desk-scale exact integer arithmetic.
+An exact primality test for the modulus, polynomial sampling with a pinned
+constant term, Horner evaluation, Lagrange coefficients for interpolation
+at zero, and the interpolation itself.  Everything is exact integer
+arithmetic: no step returns a probable answer.
 """
 
 from __future__ import annotations
@@ -27,11 +28,15 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 3.3 * 10^24; ValueError from there up."""
+    """Exact primality: deterministic Miller-Rabin below psi_13 (about
+    3.3 * 10^24), Lucas-Lehmer for a Mersenne number 2^q - 1 from there up.
+
+    Any other n from psi_13 up raises ValueError rather than guess.
+    """
     if n < 2:
         return False
     if n >= _MR_LIMIT:
-        raise ValueError(f"cannot decide whether {n} is prime: it is not below {_MR_LIMIT}")
+        return _mersenne_is_prime(n)
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -51,6 +56,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _mersenne_is_prime(n: int) -> bool:
+    """Lucas-Lehmer: 2^q - 1 for an odd prime q is prime exactly when
+    s_(q-2) = 0, where s_0 = 4 and s_(i+1) = s_i^2 - 2 mod 2^q - 1."""
+    q = n.bit_length()
+    if n != (1 << q) - 1:
+        raise ValueError(f"cannot decide whether {n} is prime: it is not below {_MR_LIMIT} "
+                         "and not a Mersenne number 2^q - 1")
+    if not is_prime(q):  # 2^a - 1 divides 2^(ab) - 1
+        return False
+    s = 4
+    for _ in range(q - 2):
+        s = (s * s - 2) % n
+    return s == 0
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .smallcancel import Presentation, serialize_presentation
 __all__ = [
     "T1Intro",
     "T4Replace",
-    "TietzeMove",
     "BreakdownResult",
     "replay",
     "break_relators",
@@ -184,7 +183,6 @@ def break_relators(p: Presentation) -> BreakdownResult:
     the output as the isomorphism certificate.
     """
     relators = [r.chars for r in p.relators]  # rewritten in place
-    defining: list[str] = []  # g^-1 a b per generator, appended after them
     rank = p.alphabet.rank
     definitions: dict[int, Word] = {}
     # Memoised per call, so that map() over it runs at C speed.
@@ -211,10 +209,8 @@ def break_relators(p: Presentation) -> BreakdownResult:
         # the first pair in scan order whose class has the top count
         scan, again = tee(chain.from_iterable(pair_classes(s) for s in relators if len(s) >= 4))
         pair = next(compress(scan, map(top.__eq__, map(counts.__getitem__, again))))
-        definition = _from_chars(Alphabet(rank), pair)
         rank = g = rank + 1
-        defining.append(chr(2 * g + 1) + pair)
-        definitions[g] = definition
+        definitions[g] = _from_chars(Alphabet(g - 1), pair)
         inverse_pair = _invert_chars(pair)
         for idx, r in enumerate(relators):
             while len(r) >= 4:
@@ -240,11 +236,12 @@ def break_relators(p: Presentation) -> BreakdownResult:
             pair = classes(r[:2])
             rank = g = rank + 1
             definitions[g] = _from_chars(Alphabet(g - 1), pair)
-            defining.append(chr(2 * g + 1) + pair)
             inverse = pair != r[:2]
             r = relators[idx] = chr(2 * g + inverse) + r[2:]
+    # each defining relator g^-1 a b follows the rewritten input relators
+    relators += (chr(2 * g + 1) + d.chars for g, d in definitions.items())
     alphabet = Alphabet(rank)
-    out = tuple(_from_chars(alphabet, r) for r in relators + defining)
+    out = tuple(_from_chars(alphabet, r) for r in relators)
     return BreakdownResult(Presentation(alphabet, out), definitions)
 
 

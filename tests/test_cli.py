@@ -6,7 +6,7 @@ import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from random import Random
+from random import Random, SystemRandom
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +201,27 @@ def test_unseeded_deals_draw_different_groups(tmp_path, capsys):
                    "--participants", "1,2")[:2] == (0, "c0ffee\n")
         texts.append((session / "secure" / "participant-1.grp").read_text())
     assert texts[0] != texts[1]
+
+
+def test_unseeded_runs_draw_from_the_os_source(tmp_path, capsys, monkeypatch):
+    made = []
+
+    class Recorded(SystemRandom):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(cli, "SystemRandom", Recorded)
+    deal = ["deal", "--mode", "nn", "--secret", "ab", "--n", "3"]
+    recover = ["recover", "--participants", "1,2,3", "--secure-sum"]
+    for seed, expected in ((["--seed", "4"], 0), ([], 1)):
+        session = str(tmp_path / f"s{len(seed)}")
+        assert run(capsys, *deal, *seed, "--session-dir", session)[0] == 0
+        assert len(made) == expected
+        assert run(capsys, *recover, *seed, "--session-dir", session)[:2] == (0, "ab\n")
+        assert len(made) == 2 * expected
+        assert run(capsys, "gen-group", *seed, "--out", session + ".grp")[0] == 0
+        assert len(made) == 3 * expected
 
 
 def test_nn_deal_is_deterministic(tmp_path, capsys):
@@ -615,6 +636,8 @@ def test_tn_usage_validation(tmp_path, capsys):
     base = ["deal", "--mode", "tn", "--secret", "1", "--session-dir", str(tmp_path / "x")]
     assert run(capsys, *base, "--n", "2", "--t", "3", "--p", "11")[0] == 1
     assert run(capsys, *base, "--n", "2")[0] == 1  # missing --t/--p
+    code, _, err = run(capsys, *base, "--n", "1", "--t", "1", "--p", "11")
+    assert code == 1 and "--n must be at least 2" in err
     code, _, err = run(capsys, *base, "--n", "2", "--t", "2", "--p", "12")
     assert code == 2 and "prime" in err
     code, _, err = run(capsys, "deal", "--mode", "tn", "--secret", "99999",
@@ -646,6 +669,10 @@ def _edit_header(old, new):
         ("open/bundle-1.txt", _edit_header(" participant=1", ""), "no participant field"),
         ("open/bundle-1.txt", _edit_header(" k=13", ""), "no k field"),
         ("open/bundle-1.txt", _edit_header("k=13", "k=thirteen"), "field k is not an integer"),
+        ("open/bundle-1.txt", _edit_header("share-bundle ", "bundle "), "malformed share bundle header"),
+        ("open/bundle-1.txt", _edit_header("\nw2 ", "\nw9 "), "unexpected bundle line 'w9 "),
+        ("open/bundle-1.txt", _edit_header("participant=1", "participant=2"),
+         "bundle 1 carries participant tag 2"),
         ("manifest", _drop_line("mode"), "mode must be nn or tn"),
         ("manifest", _drop_line("n"), "manifest has no n field"),
         ("manifest", _drop_line("t"), "manifest has no t field"),
@@ -763,6 +790,9 @@ def test_tn_bad_participant_list(tn_session, capsys):
                "--participants", "1,preston")[0] == 1
     assert run(capsys, "recover", "--session-dir", str(tn_session),
                "--participants", "1,2,9")[0] == 2
+    code, _, err = run(capsys, "recover", "--session-dir", str(tn_session),
+                       "--participants", ",")
+    assert code == 1 and "empty participant list" in err
 
 
 # --p 12 used to deal with exit 0 although 12 is not prime, and --t was
@@ -787,6 +817,32 @@ def test_tn_deal_refuses_a_modulus_not_proved_prime(tmp_path, capsys, modulus):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and modulus in err
     assert not (session / "manifest").exists()
+
+
+@pytest.mark.parametrize("q", [83, 85])
+def test_tn_deal_refuses_a_composite_mersenne_modulus(tmp_path, capsys, q):
+    # above psi_13, so Lucas-Lehmer (q = 83, a prime) or the factor 2^5 - 1
+    # of 2^85 - 1 decides it: 2^83 - 1 = 167 * 57912614113275649087721
+    modulus = str(2**q - 1)
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", "--mode", "tn", "--secret", "5", "--n", "3",
+                         "--t", "2", "--p", modulus, "--seed", "1", "--session-dir", str(session))
+    assert code == 2 and out == ""
+    assert err == f"error: {modulus} is not prime\n"
+    assert not session.exists()
+
+
+def test_tn_round_trip_at_a_mersenne_prime_of_127_bits(tmp_path, capsys):
+    p = 2**127 - 1
+    secret = str(p - 12345)
+    session = tmp_path / "s"
+    assert run(capsys, "deal", "--mode", "tn", "--secret", secret, "--n", "3", "--t", "2",
+               "--p", str(p), "--seed", "3", "--session-dir", str(session))[0] == 0
+    for j in (1, 2, 3):
+        bundle = (session / "open" / f"bundle-{j}.txt").read_text().splitlines()
+        assert bundle[0] == f"share-bundle participant={j} k=127" and len(bundle) == 128
+    assert run(capsys, "recover", "--session-dir", str(session),
+               "--participants", "1,3")[:2] == (0, secret + "\n")
 
 
 def test_missing_session_is_data_error(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_replay_determinism():
 def test_transcript_holds_only_what_the_channels_carried():
     # no participant's input or mask may ride along with the messages
     fields = {f.name for f in dataclasses.fields(Transcript)}
-    assert fields == {"kind", "n", "width", "modulus", "messages"}
+    assert fields == {"kind", "modulus", "messages"}
 
 
 # SHA-256 of export_transcript for seeded runs: the nn-cli ring size, a width

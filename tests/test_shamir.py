@@ -48,6 +48,17 @@ def test_is_prime_refuses_strong_pseudoprimes_to_the_first_primes():
     assert is_prime(2**61 - 1)
 
 
+def test_is_prime_decides_mersenne_numbers_above_psi_13():
+    # Lucas-Lehmer for a prime exponent; a composite exponent a * b gives
+    # the factor 2^a - 1
+    for q in (89, 107, 127, 521):
+        assert is_prime(2**q - 1), q
+    for q in (83, 85, 87, 97, 101, 103, 109, 113, 128):
+        assert not is_prime(2**q - 1), q
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(2**127 + 1)
+
+
 def test_prime_modulus_rejects_composites():
     PrimeModulus(8191)
     with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import hashlib
 import pickle
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, cycle
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -377,6 +378,8 @@ def test_random_platform_group_rank_one_exhausts():
 def test_random_platform_group_rejects_short_relators():
     with pytest.raises(ValueError):
         random_platform_group(3, 3, 6, SIXTH, Random(0))
+    with pytest.raises(ValueError, match="r_count"):
+        random_platform_group(3, 0, 40, SIXTH, Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +661,15 @@ def test_trivial_word_validation(platform_group):
         make_trivial_word(platform_group, 0, 3, Random(0))
     with pytest.raises(ValueError):
         make_trivial_word(Presentation(A2, ()), 1, 1, Random(0))
+
+
+def test_trivial_word_exhausts_when_every_product_collapses():
+    # relator 0 unsigned, then relator 0 inverted: r r^-1 = 1 on every attempt
+    draws = cycle((0, 0, 0, 1))
+    rng = SimpleNamespace(getrandbits=lambda k: next(draws))
+    p = Presentation(A2, (Word(A2, [1, 2, -1, -2, 1, 2, 2]),))
+    with pytest.raises(BudgetExhausted, match="collapsed"):
+        make_trivial_word(p, 2, 0, rng)
 
 
 def test_nontrivial_word_verdict_and_parity(platform_group):

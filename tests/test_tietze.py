@@ -625,6 +625,9 @@ def test_expand_word_rejects_unknown_and_unordered():
         # cyclic pair x3 <-> x4 violates the strictly-earlier rule
         definitions = {3: Word(Alphabet(4), [4]), 4: Word(Alphabet(3), [3])}
         expand_word(Word(Alphabet(4), [3]), definitions)
+    with pytest.raises(ValueError, match="base alphabet"):
+        # a definition of x1 leaves no base generator
+        expand_word(Word(A2, [1]), {1: Word(A2, [2])})
 
 
 # ---------------------------------------------------------------------------
