@@ -31,7 +31,7 @@ from functools import cache, partial
 from pathlib import Path
 from random import Random, SystemRandom
 
-from .freegroup import Alphabet, parse_word, serialize_word
+from .freegroup import _COMPACT_RANK, _compact_text, Alphabet, parse_word, serialize_word
 from .scheme import (
     SessionConfig,
     WordColumn,
@@ -143,9 +143,9 @@ def _rng(seed: int | None) -> Random:
     return Random(seed) if seed is not None else SystemRandom()
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_bytes(data)
 
 
 def _parse_participants(raw: str, n: int) -> list[int]:
@@ -179,9 +179,8 @@ def _int_field(fields: dict[str, str], key: str, source: str) -> int:
 
 def _bundle_text(column: WordColumn, k: int) -> str:
     lines = [f"share-bundle participant={column.group_hint} k={k}"]
-    for i, w in enumerate(column.words, start=1):
-        body = serialize_word(w)
-        lines.append(f"w{i} {body}" if body else f"w{i}")
+    lines.extend(f"w{i} {_compact_text(w)}" if w else f"w{i}"
+                 for i, w in enumerate(column.words, start=1))
     return "\n".join(lines) + "\n"
 
 
@@ -231,11 +230,11 @@ def _write_session(session: Path, mode: str, t: int, k: int, rank: int, p, group
     manifest = {key: value for key, value in fields.items() if value is not None}
     header = _manifest_text(manifest)
     for j, (g, column) in enumerate(zip(groups, columns), start=1):
-        secure, bundle = serialize_presentation(g), _bundle_text(column, k)
+        secure, bundle = serialize_presentation(g).encode(), _bundle_text(column, k).encode()
         _write(session / _SECURE.format(j), secure)
         _write(session / _OPEN.format(j), bundle)
-        manifest[_MAC.format(j)] = _bundle_mac(secure.encode(), header, bundle.encode())
-    _write(session / "manifest", _manifest_text(manifest))
+        manifest[_MAC.format(j)] = _bundle_mac(secure, header, bundle)
+    _write(session / "manifest", _manifest_text(manifest).encode())
 
 
 def _read_manifest(session: Path) -> tuple[dict[str, str], str]:
@@ -284,7 +283,7 @@ def _write_transcript(session: Path, listed: list[int], text: str) -> None:
     name = f"recover-{joined}.log"
     if len(name) > 255:  # the usual file name limit, in bytes
         name = f"recover-sha256-{hashlib.sha256(joined.encode()).hexdigest()}.log"
-    _write(session / "transcripts" / name, text)
+    _write(session / "transcripts" / name, text.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def cmd_gen_group(args: argparse.Namespace) -> None:
     _check_group_args(args)
     rng = _rng(args.seed)
     p = random_platform_group(args.rank, args.relators, args.length, ONE_SIXTH, rng)
-    _write(Path(args.out), serialize_presentation(p))
+    _write(Path(args.out), serialize_presentation(p).encode())
     _print_report(check_small_cancellation(p, ONE_SIXTH))
     print(f"wrote {args.out}")
 
@@ -311,6 +310,9 @@ def cmd_deal(args: argparse.Namespace) -> None:
     _check_group_args(args)
     if args.rank < 2:
         raise UsageError("deal needs --rank at least 2: a 0 bit swaps a relator letter for another")
+    if args.rank > _COMPACT_RANK:
+        raise UsageError(f"deal takes --rank at most {_COMPACT_RANK}: "
+                         "a share bundle spells each letter as one character")
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     rng = _rng(args.seed)
@@ -380,7 +382,7 @@ def cmd_recover(args: argparse.Namespace) -> None:
 def cmd_tietze_break(args: argparse.Namespace) -> None:
     p = parse_presentation(Path(args.infile).read_text())
     result = break_relators(p)
-    _write(Path(args.out), serialize_breakdown(result))
+    _write(Path(args.out), serialize_breakdown(result).encode())
     total_in = sum(len(r) for r in p.relators)
     total_out = sum(len(r) for r in result.presentation.relators)
     print(f"relators-in {len(p.relators)} total-in {total_in}")

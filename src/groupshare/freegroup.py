@@ -9,6 +9,9 @@ Internally a word is packed into a ``str`` (letter ``i`` maps to the code
 point ``2*i`` for ``i > 0`` and ``-2*i + 1`` otherwise, so inversion is a
 XOR with 1).  This makes subword scans and prefix matching run at C speed,
 which the word-problem machinery leans on heavily.
+
+Words are written as ``x1 x2^-1`` tokens, or, in share bundles, one
+printable character per letter up to rank 87; ``parse_word`` reads both.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ def _letter(ch: str) -> int:
 
 # The codec runs as ``str.translate``, ``str.join`` and dict lookups over
 # tables of packed codes.  _FLIP and _SERIALIZE work out and keep each entry
-# the first time it is asked for, at any rank.  Only _PARSE is capped, at
-# _TABLE_RANK: beyond it the parser takes its general path, so a file that
-# declares a huge rank allocates no tokens for it.  Platform groups have
-# small rank; only Tietze rewriting goes far beyond it.
-_TABLE_RANK = 16
+# the first time it is asked for, at any rank.  _PARSE builds a rank's tables
+# the first time a word of that rank is parsed, up to _COMPACT_RANK: beyond
+# it the parser takes its general path, so a file that declares a huge rank
+# allocates no tokens for it.  Platform groups have small rank; only Tietze
+# rewriting goes far beyond it.
 
 
 class _Table(dict):
@@ -74,16 +77,35 @@ class _Table(dict):
 
 _FLIP = _Table(lambda code: code ^ 1)  # inverse letter, for str.translate
 _SERIALIZE = _Table(lambda ch: f"x{ord(ch) // 2}^-1" if ord(ch) % 2 else f"x{ord(ch) // 2}")
-# Indexed by rank r <= _TABLE_RANK: the tokens of that rank, and the 2r
-# two-letter strings that cancel.  A token of a higher generator misses the
-# table, so the parser's general path reports it.
-_PARSE = tuple(
-    (
-        {_SERIALIZE[chr(code)]: chr(code) for code in range(2, 2 * r + 2)},
-        tuple(chr(code) + chr(code ^ 1) for code in range(2, 2 * r + 2)),
-    )
-    for r in range(_TABLE_RANK + 1)
-)
+
+# The compact spelling, one character per letter: packed code c is spelled
+# _LETTERS[c - 2], so rank 3 reads ``!"#$%&`` for x1, x1^-1, .., x3^-1.  The
+# characters are printable ASCII, then printable Latin-1, without space,
+# ``x``, the digits, ``^`` and ``-``: no compact text holds a token, and
+# none breaks at str.split or str.splitlines.  175 characters, 87 generators.
+_LETTERS = "".join(c for c in map(chr, range(256))
+                   if c.isprintable() and c not in " x0123456789^-")
+_COMPACT_RANK = len(_LETTERS) // 2
+_TO_COMPACT = "\0\0" + _LETTERS  # packed code -> character, for str.translate
+
+
+def _not_compact(code: int):
+    raise ValueError(f"{chr(code)!r} spells no letter of the rank")
+
+
+def _parse_tables(rank: int) -> tuple[dict, dict, tuple[str, ...]]:
+    """The tokens of ``rank``, its compact characters (a missing one raises
+    ValueError inside str.translate) and the 2 * rank two-letter strings
+    that cancel.  A letter of a higher generator misses both tables, so the
+    parser's general path reports it."""
+    codes = range(2, 2 * rank + 2)
+    compact = _Table(_not_compact)
+    compact.update((ord(_TO_COMPACT[code]), chr(code)) for code in codes)
+    return ({_SERIALIZE[chr(code)]: chr(code) for code in codes}, compact,
+            tuple(chr(code) + chr(code ^ 1) for code in codes))
+
+
+_PARSE = _Table(_parse_tables)  # indexed by rank <= _COMPACT_RANK
 
 
 def _invert_chars(chars: str) -> str:
@@ -244,13 +266,22 @@ def _parse_tokens(tokens: list[str], alphabet: Alphabet) -> Word:
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse ``"x1 x2^-1"`` style text; reduces the result."""
-    tokens = text.split()
-    table, pairs = _PARSE[min(alphabet.rank, _TABLE_RANK)]
+    """Parse a word spelled one character per letter, as a share bundle
+    carries it, or as ``"x1 x2^-1"`` tokens; reduces the result.  A text
+    with a character that spells no letter of the rank, such as ``x`` or
+    a space, is read as tokens."""
+    rank = alphabet.rank
+    if rank > _COMPACT_RANK:
+        return _parse_tokens(text.split(), alphabet)
+    table, compact, pairs = _PARSE[rank]
     try:
-        packed = "".join(map(table.__getitem__, tokens))
-    except KeyError:
-        return _parse_tokens(tokens, alphabet)
+        packed = text.translate(compact)
+    except ValueError:
+        tokens = text.split()
+        try:
+            packed = "".join(map(table.__getitem__, tokens))
+        except KeyError:
+            return _parse_tokens(tokens, alphabet)
     if any(map(packed.__contains__, pairs)):
         packed = _reduce_chars(packed)
     return _from_chars(alphabet, packed)
@@ -258,3 +289,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 def serialize_word(w: Word) -> str:
     return " ".join(map(_SERIALIZE.__getitem__, w.chars))
+
+
+def _compact_text(w: Word) -> str:
+    """``w`` spelled one character per letter, which parse_word reads back."""
+    if w.alphabet.rank > _COMPACT_RANK:
+        raise ValueError(f"the compact spelling has letters for rank {_COMPACT_RANK} at most, "
+                         f"got {w.alphabet.rank}")
+    return w.chars.translate(_TO_COMPACT)

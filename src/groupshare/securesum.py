@@ -52,8 +52,7 @@ class Message:
 
 @dataclass(frozen=True)
 class Transcript:
-    kind: str  # "xor" or "modp"
-    modulus: int  # p (modp) or 0
+    modulus: int  # p for a run mod p, 0 for an xor run
     messages: tuple[Message, ...]
 
     @property
@@ -84,7 +83,7 @@ def run_secure_sum(inputs: Sequence[Sequence[int]], rng: Random) -> tuple[BitCol
         raise ValueError("the masked ring needs at least 3 participants")
     cols = _check_columns(inputs)
     masks = [tuple(rng.getrandbits(1) for _ in col) for col in cols]
-    tr = Transcript("xor", 0, _ring(cols, masks, _xor, _xor))
+    tr = Transcript(0, _ring(cols, masks, _xor, _xor))
     return tr.output, tr
 
 
@@ -99,12 +98,12 @@ def run_secure_linear_combination(
     weighted = [c * (s.value % p) % p for c, s in zip(coefficients, shares)]
     masks = [rng.randrange(p) for _ in shares]
     messages = _ring(weighted, masks, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p)
-    tr = Transcript("modp", p, messages)
+    tr = Transcript(p, messages)
     return tr.output, tr
 
 
 def _payload_hex(tr: Transcript, payload: Payload) -> str:
-    if tr.kind == "xor":
+    if not tr.modulus:
         return format(column_to_int(payload), f"0{(len(payload) + 3) // 4}x")
     return format(payload, "x")
 

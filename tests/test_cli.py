@@ -239,13 +239,13 @@ PINNED_SESSIONS = {
     "nn": (
         ["--mode", "nn", "--secret", "c0ffee", "--n", "3", "--seed", "7"],
         "1,2,3",
-        "31927381f84126fe36a1a00e6bd4a5a35ddbad52037ccd95808b4fc4d98af38d",
+        "8c4ea1392b1c5e0c383e5b8aba6b12c6eb80a39217bec9c1e02b4da3f71fb793",
     ),
     "tn": (
         ["--mode", "tn", "--secret", "4242", "--n", "5", "--t", "3", "--p", "8191",
          "--seed", "7"],
         "1,3,5",
-        "485d875c000e575b9dff828afedde3a2a38fdeff1ea32090e2c27e49add471e9",
+        "5e363d96e559b1adb9c0a82aecf69ac336699b4abf98ed146f414ad0869ae331",
     ),
 }
 
@@ -297,10 +297,11 @@ def _copy_presentation(session: Path) -> None:
 
 
 def _flip_bundle_letter(session: Path) -> None:
+    # word 1's first letter becomes another letter of rank 3, spelled !"#$%&
     bundle = session / "open" / "bundle-2.txt"
-    text = bundle.read_text()
-    assert " x1 " in text
-    bundle.write_text(text.replace(" x1 ", " x2 ", 1))
+    header, line, rest = bundle.read_text().split("\n", 2)
+    assert line.startswith("w1 ") and line[3] in '!"#$%&'
+    bundle.write_text("\n".join([header, f"w1 {'#' if line[3] == '!' else '!'}{line[4:]}", rest]))
 
 
 @pytest.mark.parametrize("tamper", [_replace_presentation, _copy_presentation, _flip_bundle_letter])
@@ -325,6 +326,46 @@ def _commit_mac(session: Path, j: int) -> None:
         (session / "open" / f"bundle-{j}.txt").read_bytes(),
     )
     manifest.write_text(_set_value(f"hmac-sha256:participant-{j}", mac)(manifest.read_text()))
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_SESSIONS))
+def test_sessions_with_token_bundles_still_recover(tmp_path, capsys, mode):
+    # bundles from before the one-character spelling wrote "x1 x2^-1" tokens
+    deal, participants, _ = PINNED_SESSIONS[mode]
+    session = tmp_path / "s"
+    assert run(capsys, "deal", *deal, "--session-dir", str(session))[0] == 0
+    recover = ["recover", "--session-dir", str(session), "--participants", participants]
+    code, secret, _ = run(capsys, *recover)
+    assert code == 0
+    alphabet = parse_presentation((session / "secure" / "participant-1.grp").read_text()).alphabet
+    for j in range(1, len(list((session / "open").iterdir())) + 1):
+        bundle = session / "open" / f"bundle-{j}.txt"
+        header, *lines = bundle.read_text().splitlines()
+        assert any(line[3:] for line in lines) and not any("x" in line[3:] for line in lines)
+        for i, line in enumerate(lines):
+            tag, _, body = line.partition(" ")
+            tokens = serialize_word(parse_word(body, alphabet))
+            lines[i] = f"{tag} {tokens}" if tokens else tag
+        bundle.write_text("\n".join([header, *lines]) + "\n")
+        _commit_mac(session, j)
+    assert "x1" in (session / "open" / "bundle-1.txt").read_text()
+    assert run(capsys, *recover) == (0, secret, "")
+
+
+@pytest.mark.parametrize("rank", [60, 87])
+def test_high_rank_sessions_recover_whatever_the_locale_encoding(tmp_path, capsys,
+                                                               monkeypatch, rank):
+    # from rank 41 on, a bundle spells letters with Latin-1 characters; the
+    # session files are the exact bytes their MACs cover, in any locale
+    write_text = Path.write_text
+    monkeypatch.setattr(Path, "write_text",
+                        lambda path, text, *args, **kwargs: write_text(path, text, "latin-1"))
+    session = tmp_path / "s"
+    assert run(capsys, "deal", "--mode", "nn", "--secret", "c0ffee", "--n", "3",
+               "--rank", str(rank), "--seed", "3", "--session-dir", str(session))[0] == 0
+    assert not (session / "open" / "bundle-1.txt").read_bytes().isascii()
+    assert run(capsys, "recover", "--session-dir", str(session),
+               "--participants", "1,2,3") == (0, "c0ffee\n", "")
 
 
 def test_recover_rejects_mac_forged_from_a_presentation_digest(tmp_path, capsys):
@@ -378,6 +419,18 @@ def test_deal_refuses_rank_one_before_sampling(tmp_path, capsys, monkeypatch, mo
                          "--seed", "1", "--session-dir", str(session))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("usage error: deal needs --rank at least 2")
+    assert not session.exists()
+
+
+@pytest.mark.parametrize("rank", ["88", "557055"])
+def test_deal_refuses_ranks_past_the_bundle_spelling_before_sampling(tmp_path, capsys,
+                                                                     monkeypatch, rank):
+    monkeypatch.setattr(cli, "random_platform_group", None)
+    session = tmp_path / "s"
+    code, out, err = run(capsys, "deal", "--mode", "nn", "--secret", "ab", "--n", "3",
+                         "--rank", rank, "--seed", "1", "--session-dir", str(session))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: deal takes --rank at most 87")
     assert not session.exists()
 
 

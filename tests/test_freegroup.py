@@ -5,9 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from groupshare import freegroup
 from groupshare.freegroup import (
+    _COMPACT_RANK,
     _FLIP,
+    _LETTERS,
     _SERIALIZE,
+    _compact_text,
     _invert_chars,
     _merge_chars,
     _reduce_chars,
@@ -393,3 +397,81 @@ def test_parse_accepts_noncanonical_spellings(text, letters):
 def test_parse_error_messages(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_word(text, A3)
+
+
+# ---------------------------------------------------------------------------
+# the compact spelling that share bundles carry: one character per letter
+
+def compact_reference(letters):
+    return "".join(_LETTERS[2 * i - 2] if i > 0 else _LETTERS[-2 * i - 1] for i in letters)
+
+
+def test_compact_characters_are_the_printable_latin1_that_spell_no_token():
+    assert _COMPACT_RANK == 87 and len(_LETTERS) == 175 == len(set(_LETTERS))
+    assert _LETTERS[:6] == '!"#$%&' and _LETTERS[-1] == "\xff"
+    assert all(c.isprintable() and ord(c) < 256 for c in _LETTERS)
+    assert not set(_LETTERS) & set(" x0123456789^-")
+    assert len(_LETTERS.split()) == len(_LETTERS.splitlines()) == 1
+
+
+@given(raw_words(max_rank=_COMPACT_RANK, max_len=60))
+@example((Alphabet(_COMPACT_RANK), [_COMPACT_RANK, -_COMPACT_RANK, 1]))
+def test_compact_round_trip_at_every_rank(case):
+    alphabet, letters = case
+    w = Word(alphabet, letters)
+    text = _compact_text(w)
+    assert len(text) == len(w) and text == compact_reference(w.letters)
+    assert parse_word(text, alphabet) == w
+
+
+@given(raw_words(max_rank=_COMPACT_RANK, max_len=60))
+def test_compact_parse_reduces_unreduced_text(case):
+    alphabet, letters = case
+    assert parse_word(compact_reference(letters), alphabet).letters == naive_reduce(letters)
+
+
+def test_compact_codec_at_every_rank():
+    for rank in range(1, _COMPACT_RANK + 1):
+        alphabet = Alphabet(rank)
+        w = Word(alphabet, [*range(1, rank + 1), *range(-1, -rank - 1, -1)])
+        assert parse_word(_compact_text(w), alphabet) == w
+        letters = [g * s for g in range(1, rank + 1) for s in (1, -1)]
+        assert parse_word(compact_reference(letters), alphabet).letters == ()
+        assert parse_word(compact_reference(letters[1:]), alphabet).letters == naive_reduce(
+            letters[1:])
+        assert parse_word(compact_reference([rank, 1, -1, rank]), alphabet).letters == (
+            rank, rank)
+
+
+@pytest.mark.parametrize(
+    "rank, text, message",
+    [
+        (3, "!!'", "malformed word token \"!!'\""),  # ' spells x4
+        (3, "!! #", "malformed word token '!!'"),
+        (3, "!x1", "malformed word token '!x1'"),
+        (3, "!x3 #", "malformed word token '!x3'"),
+        (3, "x1 !", "malformed word token '!'"),
+        (40, "!\xa1", "malformed word token '!\xa1'"),  # the first Latin-1 letter is x41
+        (87, "\xfe\xff", "malformed word token '\xfe\xff'"),  # the 175th character spells none
+        (87, "!\u0100", "malformed word token '!\u0100'"),
+    ],
+)
+def test_compact_text_outside_the_rank_raises_the_token_message(rank, text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_word(text, Alphabet(rank))
+
+
+def test_compact_spelling_stops_at_its_rank():
+    with pytest.raises(ValueError, match="^the compact spelling has letters for rank 87 at most"):
+        _compact_text(Word(Alphabet(_COMPACT_RANK + 1), [1]))
+    # past it, parse_word reads tokens only, as before
+    with pytest.raises(ValueError, match="^malformed word token '!'$"):
+        parse_word("!", Alphabet(_COMPACT_RANK + 1))
+
+
+def test_parse_builds_the_tables_of_the_ranks_it_reads_only(monkeypatch):
+    monkeypatch.setattr(freegroup, "_PARSE", freegroup._Table(freegroup._parse_tables))
+    assert parse_word('!"%', A3).letters == (3,)
+    assert parse_word("x1 x2", A2).letters == (1, 2)
+    assert parse_word("x1 x2", Alphabet(_COMPACT_RANK + 1)).letters == (1, 2)
+    assert sorted(freegroup._PARSE) == [2, 3]

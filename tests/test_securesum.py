@@ -98,7 +98,7 @@ def test_replay_determinism():
 def test_transcript_holds_only_what_the_channels_carried():
     # no participant's input or mask may ride along with the messages
     fields = {f.name for f in dataclasses.fields(Transcript)}
-    assert fields == {"kind", "modulus", "messages"}
+    assert fields == {"modulus", "messages"}
 
 
 # SHA-256 of export_transcript for seeded runs: the nn-cli ring size, a width
@@ -137,7 +137,7 @@ def test_linear_combination_matches_interpolation_example():
     shares = [SharePoint(1, 10), SharePoint(2, 8), SharePoint(3, 10)]
     value, tr = run_secure_linear_combination(shares, 11, Random(11))
     assert value == 5
-    assert tr.kind == "modp" and tr.modulus == 11
+    assert tr.modulus == 11
 
 
 def test_linear_combination_zero_shares():
