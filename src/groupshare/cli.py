@@ -149,10 +149,10 @@ def _write(path: Path, data: bytes) -> None:
 
 
 def _parse_participants(raw: str, n: int) -> list[int]:
-    try:
-        listed = sorted({int(x) for x in raw.split(",") if x.strip()})
-    except ValueError as exc:
-        raise UsageError(f"bad participant list {raw!r}") from exc
+    items = [x for x in map(str.strip, raw.split(",")) if x]
+    if not all(re.fullmatch("[0-9]+", x) for x in items):
+        raise UsageError(f"bad participant list {raw!r}")
+    listed = sorted(set(map(int, items)))
     if not listed:
         raise UsageError("empty participant list")
     if any(j < 1 or j > n for j in listed):

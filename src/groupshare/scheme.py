@@ -119,8 +119,13 @@ def encode_column(
     Both bit values come from one construction with the same draws: a
     product of conjugated relators, with one letter of one relator factor
     changed for a 0 bit, so lengths and their parity match across bits.
+    Refuse a presentation that fails C'(1/6), whose words no holder could read.
     """
     col = _check_bits(share)
+    piece, length, _ = g._piece_scan
+    if 6 * piece >= length:
+        raise ValueError(f"participant {group_hint}'s presentation does not satisfy "
+                         "C'(1/6), on which alone Dehn's algorithm decides the word problem")
     getrandbits = rng.getrandbits
     words = []
     for bit in col:

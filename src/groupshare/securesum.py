@@ -13,8 +13,8 @@ for the all-participants scheme, and arithmetic mod p for the Lagrange
 combination sum(c_i * y_i) = f(0) of the threshold scheme, where each
 participant weights its own share by the public c_i before the ring.
 
-Every run produces a Transcript of what the channels carried: the message
-sequence and nothing else.  No participant's input or mask is kept in it.
+Every run produces a Transcript of what the channels carried: the payloads
+in round order and nothing else.  No participant's input or mask is kept in it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .scheme import BitColumn, _check_columns, _xor, column_to_int
 from .shamir import SharePoint, lagrange_coefficients
 
 __all__ = [
-    "Message",
     "Transcript",
     "run_secure_sum",
     "run_secure_linear_combination",
@@ -37,27 +36,16 @@ __all__ = [
 
 Payload = Union[BitColumn, int]
 
-RING = "secure-ring"
-OPEN = "broadcast"
-
-
-@dataclass(frozen=True)
-class Message:
-    round: int
-    sender: int
-    receiver: int | None  # None = broadcast to everyone
-    channel: str  # RING or OPEN
-    payload: Payload
-
 
 @dataclass(frozen=True)
 class Transcript:
-    modulus: int  # p for a run mod p, 0 for an xor run
-    messages: tuple[Message, ...]
+    """The 2n payloads of a ring of n, in round order.  A payload's round
+    fixes its route: round i <= n carries Pi's masked running sum to Pi+1
+    (Pn's to P1), and round n + i is Pi's broadcast with its own mask
+    removed, so the last payload is the bare sum."""
 
-    @property
-    def output(self) -> Payload:
-        return self.messages[-1].payload
+    modulus: int  # p for a run mod p, 0 for an xor run
+    payloads: tuple[Payload, ...]
 
 
 def _ring(
@@ -65,16 +53,10 @@ def _ring(
     masks: Sequence[Payload],
     add: Callable[[Payload, Payload], Payload],
     sub: Callable[[Payload, Payload], Payload],
-) -> tuple[Message, ...]:
-    """The 2n messages of one run: rounds 1..n carry the masked running sum
-    from Pi to Pi+1, rounds n+1..2n the broadcasts that strip one mask each."""
-    n = len(inputs)
+) -> tuple[Payload, ...]:
+    """The 2n payloads of one run, in round order."""
     hops = list(accumulate(map(add, masks, inputs), add))
-    opened = list(accumulate(masks, sub, initial=hops[-1]))[1:]
-    return tuple(
-        [Message(i + 1, i + 1, (i + 1) % n + 1, RING, v) for i, v in enumerate(hops)]
-        + [Message(n + 1 + i, i + 1, None, OPEN, v) for i, v in enumerate(opened)]
-    )
+    return tuple(hops + list(accumulate(masks, sub, initial=hops[-1]))[1:])
 
 
 def run_secure_sum(inputs: Sequence[Sequence[int]], rng: Random) -> tuple[BitColumn, Transcript]:
@@ -84,7 +66,7 @@ def run_secure_sum(inputs: Sequence[Sequence[int]], rng: Random) -> tuple[BitCol
     cols = _check_columns(inputs)
     masks = [tuple(rng.getrandbits(1) for _ in col) for col in cols]
     tr = Transcript(0, _ring(cols, masks, _xor, _xor))
-    return tr.output, tr
+    return tr.payloads[-1], tr
 
 
 def run_secure_linear_combination(
@@ -97,9 +79,8 @@ def run_secure_linear_combination(
     coefficients = lagrange_coefficients([s.index for s in shares], p)
     weighted = [c * (s.value % p) % p for c, s in zip(coefficients, shares)]
     masks = [rng.randrange(p) for _ in shares]
-    messages = _ring(weighted, masks, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p)
-    tr = Transcript(p, messages)
-    return tr.output, tr
+    tr = Transcript(p, _ring(weighted, masks, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p))
+    return tr.payloads[-1], tr
 
 
 def _payload_hex(tr: Transcript, payload: Payload) -> str:
@@ -109,9 +90,11 @@ def _payload_hex(tr: Transcript, payload: Payload) -> str:
 
 
 def export_transcript(tr: Transcript) -> str:
-    """Line format: ``round <r> <from>-><to|*> <payload-hex>``."""
+    """Line format: ``round <r> <from>-><to|*> <payload-hex>``, each route
+    read off the round as :class:`Transcript` states it."""
+    n = len(tr.payloads) // 2
     lines = []
-    for m in tr.messages:
-        to = "*" if m.receiver is None else str(m.receiver)
-        lines.append(f"round {m.round} {m.sender}->{to} {_payload_hex(tr, m.payload)}")
+    for r, payload in enumerate(tr.payloads, start=1):
+        route = f"{r}->{r % n + 1}" if r <= n else f"{r - n}->*"
+        lines.append(f"round {r} {route} {_payload_hex(tr, payload)}")
     return "\n".join(lines) + "\n"

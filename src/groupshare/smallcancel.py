@@ -76,6 +76,12 @@ class Presentation:
     def _signed_chars(self) -> tuple[tuple[str, str], ...]:
         return tuple((r.chars, _invert_chars(r.chars)) for r in self.relators)
 
+    # The piece scan, kept without R*: the sampler's check pays for the
+    # encoder's and ``gen-group``'s, and ``_dehn_index`` scans its own R*.
+    @cached_property
+    def _piece_scan(self) -> tuple[int, int, str]:
+        return _largest_piece(self.closure)
+
     @property
     def closure(self) -> tuple[str, ...]:
         """Packed members of R*, sorted; built on each read, as ``_dehn_index`` keeps R*."""
@@ -138,7 +144,7 @@ def check_small_cancellation(p: Presentation, lam: Fraction | str | int) -> Canc
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    piece, length, member = _largest_piece(p.closure)
+    piece, length, member = p._piece_scan
     witness = (_from_chars(p.alphabet, member[:piece]),
                _from_chars(p.alphabet, member)) if member else None
     best = Fraction(piece, length)

@@ -356,7 +356,7 @@ def test_08_secure_sum_behaviour():
     for seed in range(rounds):
         _, tr = run_secure_sum(inputs, Random(seed))
         for m in range(n):
-            payload = tr.messages[m].payload
+            payload = tr.payloads[m]
             row = ones[m]
             for i in range(k):
                 row[i] += payload[i]

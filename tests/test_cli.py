@@ -841,6 +841,13 @@ def test_tampered_session_fails_in_one_line_or_recovers(nn_session, tn_session, 
 def test_tn_bad_participant_list(tn_session, capsys):
     assert run(capsys, "recover", "--session-dir", str(tn_session),
                "--participants", "1,preston")[0] == 1
+    # ASCII decimal indices only, as deal --secret reads its decimal
+    for raw in ("1,2,\u0663", "1,2,0_3", "+1,2,3"):
+        code, out, err = run(capsys, "recover", "--session-dir", str(tn_session),
+                             "--participants", raw)
+        assert code == 1 and out == "" and "bad participant list" in err
+    assert run(capsys, "recover", "--session-dir", str(tn_session),
+               "--participants", "1, 2 ,3")[0] == 0
     assert run(capsys, "recover", "--session-dir", str(tn_session),
                "--participants", "1,2,9")[0] == 2
     code, _, err = run(capsys, "recover", "--session-dir", str(tn_session),

@@ -320,8 +320,9 @@ def test_codec_beyond_the_table_rank():
         parse_word("x1 x3001", alphabet)
 
 
-# the ranks around _TABLE_RANK = 16, where parsing leaves the token table
-BOUNDARY_RANKS = (1, 15, 16, 17, 20)
+# small ranks, and the ranks around _COMPACT_RANK = 87, where parse_word
+# leaves the per-rank tables for _parse_tokens
+BOUNDARY_RANKS = (1, 15, 16, 17, 20, 86, 87, 88)
 
 
 @pytest.mark.parametrize("rank", BOUNDARY_RANKS)

@@ -19,7 +19,7 @@ from groupshare.scheme import (
     split_secret,
 )
 from groupshare.shamir import PrimeModulus, interpolate_at_zero
-from groupshare.smallcancel import dehn_is_trivial, make_trivial_word
+from groupshare.smallcancel import dehn_is_trivial, make_trivial_word, random_platform_group
 from groupshare.tietze import break_relators
 
 bit_columns = st.lists(st.integers(0, 1), min_size=1, max_size=48).map(tuple)
@@ -236,6 +236,22 @@ def test_decoding_refuses_a_presentation_dehn_cannot_decide(platform_group):
         decode_column(wc, broken)
     with pytest.raises(ValueError, match=refused):
         recover_share(wc, broken, 8191)
+
+
+def test_encoding_refuses_a_presentation_dehn_cannot_decide(platform_groups):
+    # a C'(1/2) sample: no holder could read its words, so nothing is dealt
+    loose = random_platform_group(3, 3, 10, "1/2", Random(1))
+    groups = (platform_groups[0], loose, platform_groups[2])
+    refused = r"participant 2's presentation does not satisfy C'\(1/6\)"
+    rng = Random(43)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=refused):
+        encode_column([1, 0, 1], loose, rng, group_hint=2)
+    assert rng.getstate() == state  # refused before its first draw
+    with pytest.raises(ValueError, match=refused):
+        deal_nn([1, 0, 1, 1], groups, rng)
+    with pytest.raises(ValueError, match=refused):
+        deal_tn(5, SessionConfig(n=3, t=2, k=4, p=PrimeModulus(11)), groups, rng)
 
 
 def test_wrong_group_does_not_decode(platform_groups):

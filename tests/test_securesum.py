@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from groupshare.scheme import _xor
 from groupshare.securesum import (
-    OPEN,
-    RING,
     Transcript,
     _ring,
     export_transcript,
@@ -33,6 +31,19 @@ def xor_oracle(columns):
     return tuple(fold(lambda a, b: a ^ b, bits) for bits in zip(*columns))
 
 
+# The ring's routing, written out here so that the observer model below does
+# not take it from the code under audit: in a ring of n, round r <= n carries
+# Pr's masked running sum to P(r mod n + 1) on the secure ring, and round
+# n + i is Pi's broadcast on the open channel.
+RING, OPEN = "secure-ring", "broadcast"
+
+
+def route(r, n):
+    """(channel, sender, receiver) of round ``r`` in a ring of ``n``;
+    receiver None is a broadcast to everyone."""
+    return (RING, r, r % n + 1) if r <= n else (OPEN, r - n, None)
+
+
 # run_secure_sum draws its masks this way too, one column per participant in
 # order, so random_columns(Random(seed), n, k) redraws a run's masks.
 def random_columns(rng, n, k):
@@ -49,7 +60,7 @@ def test_secure_sum_equals_plain_xor(n, k, seed):
     inputs = random_columns(rng, n, k)
     output, transcript = run_secure_sum(inputs, Random(seed + 1))
     assert output == xor_oracle(inputs)
-    assert transcript.messages[-1].payload == output
+    assert transcript.payloads[-1] == output
 
 
 def test_all_zero_inputs_expose_only_masks():
@@ -59,7 +70,7 @@ def test_all_zero_inputs_expose_only_masks():
     running = (0,) * 5
     for i, mask in enumerate(random_columns(Random(2), 3, 5)):
         running = _xor(running, mask)
-        assert tr.messages[i].payload == running
+        assert tr.payloads[i] == running
 
 
 def test_secure_sum_validates():
@@ -76,29 +87,50 @@ def test_remasking_changes_transcript_not_output():
     out1, tr1 = run_secure_sum(inputs, Random(100))
     out2, tr2 = run_secure_sum(inputs, Random(200))
     assert out1 == out2
-    assert tr1.messages != tr2.messages
+    assert tr1.payloads != tr2.payloads
+
+
+def exported_routes(tr):
+    """(round, channel, sender, receiver) of each line of ``export_transcript``."""
+    routes = []
+    for line in export_transcript(tr).splitlines():
+        _, r, hop, _ = line.split(" ")
+        sender, to = hop.split("->")
+        routes.append((int(r), OPEN if to == "*" else RING, int(sender),
+                       None if to == "*" else int(to)))
+    return routes
 
 
 def test_transcript_structure():
     inputs = random_columns(Random(7), 3, 4)
     _, tr = run_secure_sum(inputs, Random(8))
-    assert [m.round for m in tr.messages] == list(range(1, 7))
-    ring = [m for m in tr.messages if m.channel == RING]
-    assert [(m.sender, m.receiver) for m in ring] == [(1, 2), (2, 3), (3, 1)]
-    broadcasts = [m for m in tr.messages if m.channel == OPEN]
-    assert [(m.sender, m.receiver) for m in broadcasts] == [(1, None), (2, None), (3, None)]
+    assert len(tr.payloads) == 6
+    routes = exported_routes(tr)
+    assert [r for r, _, _, _ in routes] == list(range(1, 7))
+    ring = [(s, to) for _, channel, s, to in routes if channel == RING]
+    assert ring == [(1, 2), (2, 3), (3, 1)]
+    broadcasts = [(s, to) for _, channel, s, to in routes if channel == OPEN]
+    assert broadcasts == [(1, None), (2, None), (3, None)]
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_export_routes_each_round_as_the_ring_does(n):
+    # the exported <from>-><to|*> fields agree with the routing stated above,
+    # on which the privacy audits below rely
+    _, tr = run_secure_sum(random_columns(Random(30 + n), n, 5), Random(31 + n))
+    assert exported_routes(tr) == [(r, *route(r, n)) for r in range(1, 2 * n + 1)]
 
 
 def test_replay_determinism():
     inputs = random_columns(Random(9), 5, 6)
     _, tr = run_secure_sum(inputs, Random(10))
-    assert _ring(inputs, random_columns(Random(10), 5, 6), _xor, _xor) == tr.messages
+    assert _ring(inputs, random_columns(Random(10), 5, 6), _xor, _xor) == tr.payloads
 
 
 def test_transcript_holds_only_what_the_channels_carried():
-    # no participant's input or mask may ride along with the messages
+    # no participant's input or mask may ride along with the payloads
     fields = {f.name for f in dataclasses.fields(Transcript)}
-    assert fields == {"modulus", "messages"}
+    assert fields == {"modulus", "payloads"}
 
 
 # SHA-256 of export_transcript for seeded runs: the nn-cli ring size, a width
@@ -171,16 +203,18 @@ def test_linear_combination_validates():
 # ---------------------------------------------------------------------------
 # privacy audits, against an exhaustive oracle
 
-def visible_rounds(messages, observer):
-    """Payloads by round of the messages ``observer`` sees: a participant
-    index sees what it sent, received or heard broadcast; ``RING`` and
-    ``OPEN`` are eavesdroppers on that channel alone."""
+def visible_rounds(payloads, observer):
+    """Payloads by round of the rounds ``observer`` sees, routed by
+    :func:`route`: a participant index sees what it sent, received or heard
+    broadcast; ``RING`` and ``OPEN`` are eavesdroppers on that channel alone."""
+    n = len(payloads) // 2
+    routes = {r: route(r, n) for r in range(1, 2 * n + 1)}
     if observer in (RING, OPEN):
-        picked = [m for m in messages if m.channel == observer]
+        picked = [r for r, (channel, _, _) in routes.items() if channel == observer]
     else:
-        picked = [m for m in messages
-                  if m.receiver is None or observer in (m.sender, m.receiver)]
-    return {m.round: m.payload for m in picked}
+        picked = [r for r, (_, sender, receiver) in routes.items()
+                  if receiver is None or observer in (sender, receiver)]
+    return {r: payloads[r - 1] for r in picked}
 
 
 def consistent_inputs(inputs, observed, known, space, add, sub):
@@ -198,21 +232,21 @@ def consistent_inputs(inputs, observed, known, space, add, sub):
                                                repeat=2):
         for i, x, m in zip(unknown, chosen_inputs, chosen_masks):
             xs[i], masks[i] = x, m
-        messages = _ring(xs, masks, add, sub)
-        if all(messages[r - 1].payload == p for r, p in observed.items()):
+        payloads = _ring(xs, masks, add, sub)
+        if all(payloads[r - 1] == p for r, p in observed.items()):
             for i in range(n):
                 values[i].add(xs[i])
     return values
 
 
-def audit(inputs, messages, observer, p=None):
+def audit(inputs, payloads, observer, p=None):
     """Which other participants' inputs does the observer's view pin down,
     and how many values stay consistent per participant?  Bit columns
-    (``p`` None) audit one bit position at a time: the messages constrain
+    (``p`` None) audit one bit position at a time: the payloads constrain
     each position on its own, so the product of the counts is exact."""
     n = len(inputs)
     known = observer - 1 if isinstance(observer, int) else None
-    observed = visible_rounds(messages, observer)
+    observed = visible_rounds(payloads, observer)
     if p is None:
         counts = [1] * n
         for bit in range(len(inputs[0])):
@@ -232,7 +266,7 @@ def test_honest_run_determines_nothing_for_participants():
     inputs = random_columns(Random(13), 3, 4)
     _, tr = run_secure_sum(inputs, Random(14))
     for observer in (1, 2, 3):
-        determined, _ = audit(inputs, tr.messages, observer)
+        determined, _ = audit(inputs, tr.payloads, observer)
         assert determined == ()
 
 
@@ -240,15 +274,15 @@ def test_eavesdroppers_determine_nothing():
     inputs = random_columns(Random(15), 3, 4)
     _, tr = run_secure_sum(inputs, Random(16))
     for observer in (RING, OPEN):
-        determined, _ = audit(inputs, tr.messages, observer)
+        determined, _ = audit(inputs, tr.payloads, observer)
         assert determined == ()
 
 
 def test_two_party_ring_is_degenerate():
     # the public gate requires n >= 3; drive the ring itself to show why
     inputs = [(1, 0, 1, 1), (0, 1, 1, 0)]
-    messages = _ring(inputs, random_columns(Random(17), 2, 4), _xor, _xor)
-    determined, _ = audit(inputs, messages, 2)
+    payloads = _ring(inputs, random_columns(Random(17), 2, 4), _xor, _xor)
+    determined, _ = audit(inputs, payloads, 2)
     assert determined == (1,)
 
 
@@ -259,7 +293,7 @@ def test_modp_audit_determines_nothing_at_three_parties():
     # are invertible mod 5, so counts of weighted values are counts of shares
     weights = lagrange_coefficients([s.index for s in shares], 5)
     weighted = [c * s.value % 5 for c, s in zip(weights, shares)]
-    determined, counts = audit(weighted, tr.messages, 2, p=5)
+    determined, counts = audit(weighted, tr.payloads, 2, p=5)
     assert determined == ()
     assert counts[0] == 5 and counts[2] == 5
 

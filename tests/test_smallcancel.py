@@ -104,8 +104,9 @@ def test_words_and_what_holds_them_survive_copying():
     report = check_small_cancellation(p, SIXTH)
     w = make_trivial_word(p, 2, 5, rng)
     column = encode_column([1, 0, 1, 1, 0], p, rng, group_hint=1)
-    # the fields and the one cached attribute: R* lives in the Dehn index
-    assert set(vars(p)) == {"alphabet", "relators", "_signed_chars"}
+    # the fields and the two cached attributes: R* lives in the Dehn index,
+    # and only the piece scan the sampler ran stays with the presentation
+    assert set(vars(p)) == {"alphabet", "relators", "_signed_chars", "_piece_scan"}
     assert hash(w) == hash((w.alphabet, w.chars))
     for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         assert clone(w) == w and hash(clone(w)) == hash(w)
@@ -786,8 +787,9 @@ def random_relators(alphabet, rng):
 def test_word_construction_keeps_the_randrange_stream():
     # the same words and the same generator state afterwards, for both bit
     # values, ranks 1-20 and conjugators of 0-60 letters
-    setup = Random(89)
+    setup, sampler = Random(89), Random(97)
     ours, theirs = Random(101), Random(101)
+    refused = 0
     for rank in range(1, 21):
         p = random_relators(Alphabet(rank), setup)
         for conj in range(61):
@@ -802,11 +804,21 @@ def test_word_construction_keeps_the_randrange_stream():
                     p, factors, conj, theirs, not bit
                 )
                 assert ours.getstate() == theirs.getstate()
-        # a column draws each word's factor and conjugator counts first
+        # a column draws each word's factor and conjugator counts first; it
+        # is dealt only over a C'(1/6) group, so the random relators are
+        # refused exactly where they fail the condition
         bits = [setup.randrange(2) for _ in range(8)] if rank > 1 else [1] * 8
-        column = encode_column(bits, p, ours, group_hint=1)
-        assert column.words == randrange_column(bits, p, theirs)
+        if check_small_cancellation(p, SIXTH).satisfied:
+            encode_column(bits, p, Random(0), group_hint=1)
+        else:
+            with pytest.raises(ValueError, match=r"does not satisfy C'\(1/6\)"):
+                encode_column(bits, p, ours, group_hint=1)
+            refused += 1
+        g = random_platform_group(rank, 1, 8 if rank == 1 else 24, SIXTH, sampler)
+        column = encode_column(bits, g, ours, group_hint=1)
+        assert column.words == randrange_column(bits, g, theirs)
         assert ours.getstate() == theirs.getstate()
+    assert refused == 15
 
 
 def test_conjugates_keep_the_randrange_stream_over_short_relators():
