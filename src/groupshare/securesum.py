@@ -39,13 +39,19 @@ Payload = Union[BitColumn, int]
 
 @dataclass(frozen=True)
 class Transcript:
-    """The 2n payloads of a ring of n, in round order.  A payload's round
+    """The 2n payloads of a ring of n >= 3, in round order.  A payload's round
     fixes its route: round i <= n carries Pi's masked running sum to Pi+1
     (Pn's to P1), and round n + i is Pi's broadcast with its own mask
     removed, so the last payload is the bare sum."""
 
     modulus: int  # p for a run mod p, 0 for an xor run
     payloads: tuple[Payload, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.payloads) < 6:
+            raise ValueError("the masked ring needs at least 3 participants")
+        if len(self.payloads) % 2:
+            raise ValueError(f"a ring of n carries 2n payloads, not {len(self.payloads)}")
 
 
 def _ring(
@@ -54,15 +60,13 @@ def _ring(
     add: Callable[[Payload, Payload], Payload],
     sub: Callable[[Payload, Payload], Payload],
 ) -> tuple[Payload, ...]:
-    """The 2n payloads of one run, in round order."""
+    """The 2n payloads of one run, in round order; none for no inputs."""
     hops = list(accumulate(map(add, masks, inputs), add))
-    return tuple(hops + list(accumulate(masks, sub, initial=hops[-1]))[1:])
+    return tuple(hops + list(accumulate([*hops[-1:], *masks], sub))[1:])
 
 
 def run_secure_sum(inputs: Sequence[Sequence[int]], rng: Random) -> tuple[BitColumn, Transcript]:
     """Masked-ring XOR of private bit columns; returns (sum, transcript)."""
-    if len(inputs) < 3:
-        raise ValueError("the masked ring needs at least 3 participants")
     cols = _check_columns(inputs)
     masks = [tuple(rng.getrandbits(1) for _ in col) for col in cols]
     tr = Transcript(0, _ring(cols, masks, _xor, _xor))
@@ -74,8 +78,6 @@ def run_secure_linear_combination(
 ) -> tuple[int, Transcript]:
     """Compute f(0) = sum c_i * y_i over the masked ring without revealing
     the y_i; the Lagrange weights c_i are public."""
-    if len(shares) < 3:
-        raise ValueError("the masked ring needs at least 3 participants")
     coefficients = lagrange_coefficients([s.index for s in shares], p)
     weighted = [c * (s.value % p) % p for c, s in zip(coefficients, shares)]
     masks = [rng.randrange(p) for _ in shares]

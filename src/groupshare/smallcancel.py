@@ -179,9 +179,10 @@ def random_platform_group(
                 w = random_reduced_word(r_length, alphabet, rng)
             words.append(w)
         candidate = Presentation(alphabet, tuple(words))
-        # each relator's orbit in R* is named by its least rotation or its inverse's
-        if len({min(s[i:] + s[:i] for s in signed for i in range(r_length))
-                for signed in candidate._signed_chars}) < r_count:
+        # relators of one length share an orbit in R* iff a + a holds b or b^-1
+        signed = candidate._signed_chars
+        if any(b in a + a or b_inv in a + a
+               for i, (a, _) in enumerate(signed) for b, b_inv in signed[:i]):
             continue
         if check_small_cancellation(candidate, lam).satisfied:
             return candidate

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, compress, tee
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -207,8 +206,7 @@ def break_relators(p: Presentation) -> BreakdownResult:
             count(s, 1)
     while counts and (top := max(counts.values())) > 1:
         # the first pair in scan order whose class has the top count
-        scan, again = tee(chain.from_iterable(pair_classes(s) for s in relators if len(s) >= 4))
-        pair = next(compress(scan, map(top.__eq__, map(counts.__getitem__, again))))
+        pair = next(c for s in relators if len(s) >= 4 for c in pair_classes(s) if counts[c] == top)
         rank = g = rank + 1
         definitions[g] = _from_chars(Alphabet(g - 1), pair)
         inverse_pair = _invert_chars(pair)

@@ -82,6 +82,34 @@ def test_secure_sum_validates():
         run_secure_sum([(2,), (0,), (1,)], Random(0))
 
 
+@pytest.mark.parametrize("payloads, message", [
+    ((), "at least 3 participants"),
+    (((1, 0), (1, 1), (0, 0)), "at least 3 participants"),
+    (((1,), (0,), (1,), (1,)), "at least 3 participants"),
+    (((1,),) * 7, "not 7"),
+])
+def test_transcript_refuses_a_shape_no_ring_makes(payloads, message):
+    # a ring of n >= 3 carries 2n payloads; any other count has no routes
+    with pytest.raises(ValueError, match=message):
+        Transcript(0, payloads)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_runners_refuse_rings_below_three(n):
+    with pytest.raises(ValueError, match="at least 3 participants"):
+        run_secure_sum(random_columns(Random(n), n, 4), Random(0))
+    with pytest.raises(ValueError, match="at least 3 participants"):
+        run_secure_linear_combination([SharePoint(i + 1, i) for i in range(n)], 5, Random(0))
+
+
+def test_a_malformed_two_party_input_reports_its_own_fault():
+    # the size rule lives in Transcript, so the inputs are checked first
+    with pytest.raises(ValueError, match="width mismatch"):
+        run_secure_sum([(1,), (0, 1)], Random(0))
+    with pytest.raises(ValueError, match="duplicate share indices"):
+        run_secure_linear_combination([SharePoint(1, 2), SharePoint(1, 3)], 5, Random(0))
+
+
 def test_remasking_changes_transcript_not_output():
     inputs = random_columns(Random(5), 4, 8)
     out1, tr1 = run_secure_sum(inputs, Random(100))

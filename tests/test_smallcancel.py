@@ -376,6 +376,19 @@ def test_random_platform_group_rank_one_exhausts():
         random_platform_group(1, 2, 8, SIXTH, Random(0))
 
 
+def test_sampled_orbits_are_pinned_above_rank_one():
+    # at rank 2, three relators of length 7, about 2% of candidates put two
+    # relators in one orbit of R*, and every seed still returns a group;
+    # the digest was recorded when each orbit was named by its least member
+    h = hashlib.sha256()
+    for seed in range(300):
+        p = random_platform_group(2, 3, 7, "1/2", Random(seed))
+        h.update(serialize_presentation(p).encode())
+        for r, s in combinations(p.relators, 2):
+            assert not orbit(r.letters) & orbit(s.letters)
+    assert h.hexdigest() == "238145142b639f7f8ec4db2b1865c73ed519ed709a52d6c9dd302779e78069be"
+
+
 def test_random_platform_group_rejects_short_relators():
     with pytest.raises(ValueError):
         random_platform_group(3, 3, 6, SIXTH, Random(0))
