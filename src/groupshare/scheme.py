@@ -5,8 +5,8 @@ column into one share column per participant and publishes, for each
 participant, a column of group words over that participant's private
 platform group; a word equal to 1 encodes bit 1, a word not equal to 1
 encodes bit 0.  The holder of the matching presentation reads the bits by
-Dehn's algorithm; a passive attack on the open columns read 71% to 100% of
-them in README's measurements.  XOR of all decoded columns recovers the secret.
+Dehn's algorithm; README measures how many of them a passive attack on the
+open columns reads as well.  XOR of all decoded columns recovers the secret.
 
 Threshold variant: the secret is a residue mod p, split with a random
 polynomial; each participant's polynomial value is binary-encoded into a
@@ -58,6 +58,9 @@ class WordColumn:
 # never repeats a word in practice.
 _FACTORS = range(2, 4)
 _CONJ_LENGTH = range(3, 8)
+
+_UNDECIDED = ("participant {}'s presentation does not satisfy C'(1/6), "
+              "on which alone Dehn's algorithm decides the word problem")
 
 
 @dataclass(frozen=True)
@@ -124,8 +127,7 @@ def encode_column(
     col = _check_bits(share)
     piece, length, _ = g._piece_scan
     if 6 * piece >= length:
-        raise ValueError(f"participant {group_hint}'s presentation does not satisfy "
-                         "C'(1/6), on which alone Dehn's algorithm decides the word problem")
+        raise ValueError(_UNDECIDED.format(group_hint))
     getrandbits = rng.getrandbits
     words = []
     for bit in col:
@@ -142,8 +144,7 @@ def decode_column(wc: WordColumn, g: Presentation) -> BitColumn:
     bit Dehn cannot reduce would read 0."""
     index = _dehn_index(g)
     if not index.decides:
-        raise ValueError(f"participant {wc.group_hint}'s presentation does not satisfy "
-                         "C'(1/6), on which alone Dehn's algorithm decides the word problem")
+        raise ValueError(_UNDECIDED.format(wc.group_hint))
     bits = []
     for w in wc.words:
         if w.alphabet != g.alphabet:

@@ -76,8 +76,7 @@ class Presentation:
     def _signed_chars(self) -> tuple[tuple[str, str], ...]:
         return tuple((r.chars, _invert_chars(r.chars)) for r in self.relators)
 
-    # The piece scan, kept without R*: the sampler's check pays for the
-    # encoder's and ``gen-group``'s, and ``_dehn_index`` scans its own R*.
+    # The one piece scan, kept without R*: sampler, encoder, report and Dehn index read it.
     @cached_property
     def _piece_scan(self) -> tuple[int, int, str]:
         return _largest_piece(self.closure)
@@ -210,7 +209,9 @@ class _DehnIndex:
 
     def __init__(self, p: Presentation):
         members = p.closure
-        piece, length, _ = _largest_piece(members)
+        if "_piece_scan" not in vars(p):
+            vars(p)["_piece_scan"] = _largest_piece(members)  # as the cached_property would
+        piece, length, _ = p._piece_scan
         self.decides = 6 * piece < length
         tables: dict[int, dict[str, list[str]]] = {}
         # Stable by length over plain order: thresholds ascend, and each bucket
@@ -237,7 +238,7 @@ class _DehnIndex:
         return found
 
 
-# Keyed by value, so an equal presentation parsed afresh finds R* built and scanned.
+# Keyed by value, so an equal presentation parsed afresh finds R* built and its verdict taken.
 # A CLI process decodes each once; in-process callers hold at most 8 groups at a time.
 @lru_cache(maxsize=8)
 def _dehn_index(p: Presentation) -> _DehnIndex:

@@ -10,6 +10,8 @@ import importlib.util
 from pathlib import Path
 from random import Random
 
+import pytest
+
 from groupshare.smallcancel import random_platform_group, serialize_presentation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -68,3 +70,16 @@ def test_tietze_break_calls_the_breaker_bound_on_cli(tmp_path):
         cli.break_relators = inner
     assert len(seen) == 1
     assert out.read_text() == gs["tietze"].serialize_breakdown(seen[0])
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_each_workload_unwarms_through_the_names_it_reaches(name, tmp_path, platform_group):
+    # NnCli.unwarm empties smallcancel's Dehn-index LRU by its private name, so
+    # removing or renaming that cache must fail here, not only in the benchmark
+    gs = workloads.load_groupshare()
+    workload = workloads.WORKLOADS[name](gs, 1, workloads.SIZES["tiny"][name], tmp_path)
+    sc = gs["smallcancel"]
+    assert sc.dehn_is_trivial(platform_group, platform_group.relators[0]).is_trivial  # warm it
+    workload.unwarm()
+    if name == "nn-cli":
+        assert sc._dehn_index.cache_info().currsize == 0

@@ -231,30 +231,39 @@ def test_linear_combination_validates():
 # ---------------------------------------------------------------------------
 # privacy audits, against an exhaustive oracle
 
+def members(observer):
+    """The participants (1-based) of an observer: one index, or a coalition
+    given as a tuple of indices; none for an eavesdropper."""
+    if observer in (RING, OPEN):
+        return ()
+    return observer if isinstance(observer, tuple) else (observer,)
+
+
 def visible_rounds(payloads, observer):
     """Payloads by round of the rounds ``observer`` sees, routed by
-    :func:`route`: a participant index sees what it sent, received or heard
-    broadcast; ``RING`` and ``OPEN`` are eavesdroppers on that channel alone."""
+    :func:`route`: a participant sees what it sent, received or heard
+    broadcast, and a coalition what any of its members sees; ``RING`` and
+    ``OPEN`` are eavesdroppers on that channel alone."""
     n = len(payloads) // 2
     routes = {r: route(r, n) for r in range(1, 2 * n + 1)}
     if observer in (RING, OPEN):
         picked = [r for r, (channel, _, _) in routes.items() if channel == observer]
     else:
         picked = [r for r, (_, sender, receiver) in routes.items()
-                  if receiver is None or observer in (sender, receiver)]
+                  if receiver is None or {sender, receiver} & set(members(observer))]
     return {r: payloads[r - 1] for r in picked}
 
 
 def consistent_inputs(inputs, observed, known, space, add, sub):
     """Per participant, the input values that some assignment of the unknown
-    inputs and masks reproduces ``observed`` with.  Participant ``known``
-    (0-based, or None) keeps its own input and derives its own mask: the
+    inputs and masks reproduces ``observed`` with.  Each participant in
+    ``known`` (0-based) keeps its own input and derives its own mask: the
     value before its broadcast minus its broadcast."""
     n = len(inputs)
-    unknown = [i for i in range(n) if i != known]
+    unknown = [i for i in range(n) if i not in known]
     xs, masks = list(inputs), [None] * n
-    if known is not None:
-        masks[known] = sub(observed[n + known], observed[n + known + 1])
+    for i in known:
+        masks[i] = sub(observed[n + i], observed[n + i + 1])
     values = [set() for _ in range(n)]
     for chosen_inputs, chosen_masks in product(product(space, repeat=len(unknown)),
                                                repeat=2):
@@ -273,7 +282,7 @@ def audit(inputs, payloads, observer, p=None):
     (``p`` None) audit one bit position at a time: the payloads constrain
     each position on its own, so the product of the counts is exact."""
     n = len(inputs)
-    known = observer - 1 if isinstance(observer, int) else None
+    known = tuple(i - 1 for i in members(observer))
     observed = visible_rounds(payloads, observer)
     if p is None:
         counts = [1] * n
@@ -286,7 +295,7 @@ def audit(inputs, payloads, observer, p=None):
         values = consistent_inputs(inputs, observed, known, range(p),
                                    lambda a, b: (a + b) % p, lambda a, b: (a - b) % p)
         counts = [len(v) for v in values]
-    determined = tuple(i + 1 for i in range(n) if i != known and counts[i] == 1)
+    determined = tuple(i + 1 for i in range(n) if i not in known and counts[i] == 1)
     return determined, tuple(counts)
 
 
@@ -312,6 +321,28 @@ def test_two_party_ring_is_degenerate():
     payloads = _ring(inputs, random_columns(Random(17), 2, 4), _xor, _xor)
     determined, _ = audit(inputs, payloads, 2)
     assert determined == (1,)
+
+
+# What each pair of participants determines of the others' 1-bit inputs, the
+# same for every assignment of inputs and masks: the two ring neighbours of Pi
+# together read Pi's input, because for i >= 2 consecutive broadcasts differ by
+# Ni, and Pi's input is the hop Pi sent minus the hop Pi received minus Ni.
+PAIR_DETERMINES = {
+    4: {(1, 2): (), (2, 3): (), (3, 4): (), (1, 4): (), (1, 3): (2, 4), (2, 4): (1, 3)},
+    5: {(1, 2): (), (2, 3): (), (3, 4): (), (4, 5): (), (1, 5): (),
+        (1, 3): (2,), (1, 4): (5,), (2, 4): (3,), (2, 5): (1,), (3, 5): (4,)},
+}
+
+
+@pytest.mark.parametrize("n", sorted(PAIR_DETERMINES))
+def test_ring_neighbours_together_determine_the_input_between_them(n):
+    seen = {pair: set() for pair in PAIR_DETERMINES[n]}
+    for bits in product((0, 1), repeat=2 * n):
+        inputs, masks = [(b,) for b in bits[:n]], [(b,) for b in bits[n:]]
+        payloads = _ring(inputs, masks, _xor, _xor)
+        for pair in seen:
+            seen[pair].add(audit(inputs, payloads, pair)[0])
+    assert seen == {pair: {determined} for pair, determined in PAIR_DETERMINES[n].items()}
 
 
 def test_modp_audit_determines_nothing_at_three_parties():

@@ -134,6 +134,48 @@ def test_decoding_a_column_builds_one_dehn_index(platform_group):
     assert (info.misses, info.hits) == (1, 1)
 
 
+def _count_scans(monkeypatch) -> list:
+    import groupshare.smallcancel as smallcancel
+
+    scans, scan = [], smallcancel._largest_piece
+    monkeypatch.setattr(smallcancel, "_largest_piece",
+                        lambda members: scans.append(members) or scan(members))
+    return scans
+
+
+def test_a_sampled_group_is_scanned_once_from_sampler_to_decoder(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    rng = Random(11)
+    p = random_platform_group(3, 3, 40, SIXTH, rng)
+    sampled = len(scans)  # one per candidate without an orbit collision
+    assert sampled >= 1 and "_piece_scan" in vars(p)
+    _dehn_index.cache_clear()
+    bits = [rng.randrange(2) for _ in range(8)]
+    column = encode_column(bits, p, rng, group_hint=1)
+    assert decode_column(column, p) == tuple(bits)
+    assert dehn_is_trivial(p, column.words[0]).is_trivial is bool(bits[0])
+    assert check_small_cancellation(p, SIXTH).satisfied
+    # the index took the sampler's verdict: R* built once, scanned never again
+    assert len(scans) == sampled and _dehn_index.cache_info().misses == 1
+    _dehn_index.cache_clear()
+
+
+def test_a_parsed_group_keeps_the_scan_its_dehn_index_ran(platform_group, monkeypatch):
+    text = serialize_presentation(platform_group)
+    scans = _count_scans(monkeypatch)
+    _dehn_index.cache_clear()
+    p = parse_presentation(text)
+    assert "_piece_scan" not in vars(p)
+    w = make_trivial_word(p, 2, 3, Random(4))
+    assert dehn_is_trivial(p, w).is_trivial
+    assert len(scans) == 1 and vars(p)["_piece_scan"] == platform_group._piece_scan
+    # the report and the encoder read the scan the index left on the object
+    assert check_small_cancellation(p, SIXTH) == check_small_cancellation(platform_group, SIXTH)
+    encode_column([1, 0], p, Random(5), group_hint=1)
+    assert len(scans) == 1
+    _dehn_index.cache_clear()
+
+
 def test_parse_presentation_accepts_comments_and_blanks():
     p = parse_presentation("# a comment\n\ngenerators 2\n relator x1 x2\n")
     assert p.alphabet.rank == 2
