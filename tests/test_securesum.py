@@ -325,8 +325,9 @@ def test_two_party_ring_is_degenerate():
 
 # What each pair of participants determines of the others' 1-bit inputs, the
 # same for every assignment of inputs and masks: the two ring neighbours of Pi
-# together read Pi's input, because for i >= 2 consecutive broadcasts differ by
-# Ni, and Pi's input is the hop Pi sent minus the hop Pi received minus Ni.
+# together read Pi's input, the hop Pi sent minus the hop Pi received minus
+# Ni.  For i >= 2, Ni is the difference of two consecutive broadcasts, and N1
+# is the hop Pn sent minus P1's broadcast.
 PAIR_DETERMINES = {
     4: {(1, 2): (), (2, 3): (), (3, 4): (), (1, 4): (), (1, 3): (2, 4), (2, 4): (1, 3)},
     5: {(1, 2): (), (2, 3): (), (3, 4): (), (4, 5): (), (1, 5): (),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupshare import smallcancel
 from groupshare.freegroup import (
     Alphabet,
     Word,
@@ -135,8 +136,6 @@ def test_decoding_a_column_builds_one_dehn_index(platform_group):
 
 
 def _count_scans(monkeypatch) -> list:
-    import groupshare.smallcancel as smallcancel
-
     scans, scan = [], smallcancel._largest_piece
     monkeypatch.setattr(smallcancel, "_largest_piece",
                         lambda members: scans.append(members) or scan(members))
@@ -148,7 +147,7 @@ def test_a_sampled_group_is_scanned_once_from_sampler_to_decoder(monkeypatch):
     rng = Random(11)
     p = random_platform_group(3, 3, 40, SIXTH, rng)
     sampled = len(scans)  # one per candidate without an orbit collision
-    assert sampled >= 1 and "_piece_scan" in vars(p)
+    assert "_piece_scan" in vars(p)
     _dehn_index.cache_clear()
     bits = [rng.randrange(2) for _ in range(8)]
     column = encode_column(bits, p, rng, group_hint=1)
