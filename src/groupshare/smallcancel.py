@@ -209,8 +209,6 @@ class _DehnIndex:
 
     def __init__(self, p: Presentation):
         members = p.closure
-        if "_piece_scan" not in vars(p):
-            vars(p)["_piece_scan"] = _largest_piece(members)  # as the cached_property would
         piece, length, _ = p._piece_scan
         self.decides = 6 * piece < length
         tables: dict[int, dict[str, list[str]]] = {}
