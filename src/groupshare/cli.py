@@ -31,7 +31,9 @@ from functools import cache, partial
 from pathlib import Path
 from random import Random, SystemRandom
 
-from .freegroup import _COMPACT_RANK, _compact_text, Alphabet, parse_word, serialize_word
+from .freegroup import (
+    _COMPACT_RANK, _compact_text, _parse_words, Alphabet, parse_word, serialize_word,
+)
 from .scheme import (
     SessionConfig,
     WordColumn,
@@ -194,13 +196,11 @@ def _parse_bundle(text: str, rank: int, k: int) -> WordColumn:
     if advertised != k or len(lines) - 1 != k:
         raise ValueError(f"bundle advertises {advertised} words and carries "
                          f"{len(lines) - 1}, but the manifest says k={k}")
-    alphabet = Alphabet(rank)
-    words = []
-    for i, line in enumerate(lines[1:], start=1):
-        tag, _, body = line.partition(" ")
-        if tag != f"w{i}":
-            raise ValueError(f"unexpected bundle line {line!r}")
-        words.append(parse_word(body, alphabet))
+    rows = [line.partition(" ") for line in lines[1:]]
+    if [tag for tag, _, _ in rows] != [f"w{i}" for i in range(1, k + 1)]:
+        i = next(i for i, (tag, _, _) in enumerate(rows, start=1) if tag != f"w{i}")
+        raise ValueError(f"unexpected bundle line {lines[i]!r}")
+    words = _parse_words([body for _, _, body in rows], Alphabet(rank))
     return WordColumn(tuple(words), group_hint=participant)
 
 

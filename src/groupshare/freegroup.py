@@ -93,19 +93,33 @@ def _not_compact(code: int):
     raise ValueError(f"{chr(code)!r} spells no letter of the rank")
 
 
-def _parse_tables(rank: int) -> tuple[dict, dict, tuple[str, ...]]:
-    """The tokens of ``rank``, its compact characters (a missing one raises
-    ValueError inside str.translate) and the 2 * rank two-letter strings
-    that cancel.  A letter of a higher generator misses both tables, so the
-    parser's general path reports it."""
+def _parse_tables(rank: int) -> tuple[dict, dict]:
+    """The tokens of ``rank`` and its compact characters, with NUL kept as
+    the separator of joined texts (a missing character raises ValueError
+    inside str.translate).  A letter of a higher generator misses both
+    tables, so the parser's general path reports it."""
     codes = range(2, 2 * rank + 2)
     compact = _Table(_not_compact)
     compact.update((ord(_TO_COMPACT[code]), chr(code)) for code in codes)
-    return ({_SERIALIZE[chr(code)]: chr(code) for code in codes}, compact,
-            tuple(chr(code) + chr(code ^ 1) for code in codes))
+    compact[0] = "\0"
+    return {_SERIALIZE[chr(code)]: chr(code) for code in codes}, compact
 
 
 _PARSE = _Table(_parse_tables)  # indexed by rank <= _COMPACT_RANK
+_FLIP_BYTES = bytes(code ^ 1 for code in range(256))  # _FLIP for bytes.translate
+
+
+def _cancels(packed: str) -> bool:
+    """Whether two adjacent letters of ``packed``, codes below 256, cancel:
+    a zero byte where the text one letter on meets the text inverted.  No
+    letter cancels NUL or is cancelled by it."""
+    data = packed.encode("latin-1")
+    n = len(data) - 1
+    if n < 1:
+        return False
+    inverted = data[:-1].translate(_FLIP_BYTES)
+    meets = int.from_bytes(data[1:], "big") ^ int.from_bytes(inverted, "big")
+    return b"\0" in meets.to_bytes(n, "big")
 
 
 def _invert_chars(chars: str) -> str:
@@ -265,26 +279,49 @@ def _parse_tokens(tokens: list[str], alphabet: Alphabet) -> Word:
     return Word(alphabet, letters)
 
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse a word spelled one character per letter, as a share bundle
-    carries it, or as ``"x1 x2^-1"`` tokens; reduces the result.  A text
-    with a character that spells no letter of the rank, such as ``x`` or
-    a space, is read as tokens."""
+def _parse_text(text: str, alphabet: Alphabet) -> Word:
+    """One text on its own: token spellings, a NUL, cancelling pairs, the
+    ranks beyond the table and the wording of every error."""
     rank = alphabet.rank
     if rank > _COMPACT_RANK:
         return _parse_tokens(text.split(), alphabet)
-    table, compact, pairs = _PARSE[rank]
+    table, compact = _PARSE[rank]
     try:
         packed = text.translate(compact)
     except ValueError:
+        packed = "\0"  # a character that spells no letter, as NUL does
+    if "\0" in packed:
         tokens = text.split()
         try:
             packed = "".join(map(table.__getitem__, tokens))
         except KeyError:
             return _parse_tokens(tokens, alphabet)
-    if any(map(packed.__contains__, pairs)):
-        packed = _reduce_chars(packed)
-    return _from_chars(alphabet, packed)
+    return _from_chars(alphabet, _reduce_chars(packed) if _cancels(packed) else packed)
+
+
+def _parse_words(texts: list[str], alphabet: Alphabet) -> list[Word]:
+    """``parse_word`` of each text.  Reduced compact texts, as a share bundle
+    carries them, are read all at once: joined by NUL, which spells no
+    letter, with one translate and one cancelling-pair test.  If any text
+    is not one, every text is read on its own."""
+    if alphabet.rank <= _COMPACT_RANK:
+        try:
+            packed = "\0".join(texts).translate(_PARSE[alphabet.rank][1])
+        except ValueError:  # a token spelling, or a character no letter of the rank has
+            pass
+        else:
+            words = packed.split("\0")
+            if len(words) == len(texts) and not _cancels(packed):  # no text held a NUL
+                return [_from_chars(alphabet, chars) for chars in words]
+    return [_parse_text(text, alphabet) for text in texts]
+
+
+def parse_word(text: str, alphabet: Alphabet) -> Word:
+    """Parse a word spelled one character per letter, as a share bundle
+    carries it, or as ``"x1 x2^-1"`` tokens; reduces the result.  A text
+    with a character that spells no letter of the rank, such as ``x`` or
+    a space, is read as tokens."""
+    return _parse_words([text], alphabet)[0]
 
 
 def serialize_word(w: Word) -> str:

@@ -139,18 +139,26 @@ def encode_column(
 
 
 def decode_column(wc: WordColumn, g: Presentation) -> BitColumn:
-    """Read the bits back with one Dehn reduction per word, no trace built: 1
-    where it reaches 1.  Refuse a presentation that fails C'(1/6), where a 1
-    bit Dehn cannot reduce would read 0."""
+    """Read the bits back: 1 where a word is 1 in ``g``.  A word that the
+    Dehn index's homomorphism onto Z/q does not send to 0 is not 1, since
+    every word equal to 1 is a product of conjugated relators, which it
+    sends to 0; it reads 0 with no Dehn reduction.  Every other word takes
+    one Dehn reduction, no trace built.  Refuse a presentation that fails
+    C'(1/6), where a 1 bit Dehn cannot reduce would read 0."""
     index = _dehn_index(g)
     if not index.decides:
         raise ValueError(_UNDECIDED.format(wc.group_hint))
+    alphabet, weights, q = g.alphabet, index.weights, index.q
     bits = []
     for w in wc.words:
-        if w.alphabet != g.alphabet:
+        if w.alphabet is not alphabet and w.alphabet != alphabet:
             raise ValueError("word and presentation use different alphabets")
-        bits.append(not _dehn_scan(index, w.chars))
-    return tuple(map(int, bits))
+        chars = w.chars
+        if q > 1 and sum(chars.encode("latin-1").translate(weights)) % q:
+            bits.append(0)
+        else:
+            bits.append(int(not _dehn_scan(index, chars)))
+    return tuple(bits)
 
 
 def recover_secret_nn(columns: Sequence[Sequence[int]]) -> BitColumn:

@@ -194,6 +194,69 @@ def random_platform_group(
 # ---------------------------------------------------------------------------
 # Dehn's algorithm
 
+def _abelian_weights(p: Presentation) -> tuple[bytes, int]:
+    """A homomorphism from the free group onto Z/q that sends every relator
+    to 0, as a ``bytes.translate`` table of packed letter code -> weight mod
+    q, and q.  By von Dyck's theorem it then sends every word equal to 1 in
+    the group to 0.  It reads one coordinate of the abelianization: a free
+    one with q = 256 if there is one, or else that of the largest invariant
+    factor d, with q the largest divisor of d up to 256.  q = 1 where the
+    abelianization is trivial, where the codes do not fit in a byte, and
+    where both the rank and the relator count pass 8: the normal form's cost
+    grows with their product times the smaller, and past that it outgrows
+    the rest of the Dehn index."""
+    rank = p.alphabet.rank
+    if 2 * rank + 1 > 255 or min(rank, len(p.relators)) > 8:
+        return b"", 1
+    # Smith normal form of the generator-by-relator exponent-sum matrix, each
+    # pivot left where it is found.  A row operation acts on the functionals
+    # too; ``ops`` logs each as (row, source, c), row += c * source.
+    matrix = [[r.chars.count(chr(2 * g)) - r.chars.count(chr(2 * g + 1)) for r in p.relators]
+              for g in range(1, rank + 1)]
+    rows, columns = list(range(rank)), list(range(len(p.relators)))  # not yet pivots
+    ops: list[tuple[int, int, int]] = []
+    pivot = 0
+    while cells := [(abs(matrix[i][j]), i, j) for i in rows for j in columns if matrix[i][j]]:
+        _, i, j = min(cells)
+        while True:
+            pivot, top = matrix[i][j], matrix[i]
+            for k in rows:
+                if k != i and (c := matrix[k][j] // pivot):
+                    matrix[k] = [a - c * b for a, b in zip(matrix[k], top)]
+                    ops.append((k, i, -c))
+            for l in columns:
+                if l != j and (c := top[l] // pivot):
+                    for row in matrix:
+                        row[l] -= c * row[j]
+            # a remainder below the pivot, in its row or column, is the next pivot
+            rest = [(abs(matrix[k][j]), k, j) for k in rows if k != i and matrix[k][j]]
+            rest += [(abs(top[l]), i, l) for l in columns if l != j and top[l]]
+            if rest:
+                _, i, j = min(rest)
+                continue
+            # the pivot must divide what is left, or its row takes an entry it does not
+            spoiler = next((k for k in rows if any(matrix[k][l] % pivot for l in columns)), None)
+            if spoiler is None:
+                break
+            matrix[i] = [a + b for a, b in zip(top, matrix[spoiler])]
+            ops.append((i, spoiler, 1))
+        rows.remove(i)
+        columns.remove(j)
+        last = i
+    if rows:  # a free coordinate: the row is 0
+        last, q = rows[0], 256
+    else:
+        q = next(d for d in range(min(abs(pivot), 256), 0, -1) if pivot % d == 0)
+    # the transform's row ``last``, ops undone from the last: row * E = row + c * row[k] e_i
+    functional = [int(g == last) for g in range(rank)]
+    for k, i, c in reversed(ops):
+        functional[i] += c * functional[k]
+    table = bytearray(256)
+    for g, weight in enumerate(functional, start=1):
+        table[2 * g], table[2 * g + 1] = weight % q, -weight % q
+    return bytes(table), q
+
+
 class _DehnIndex:
     """R* of one presentation, indexed by over-half relator prefixes.
 
@@ -203,14 +266,17 @@ class _DehnIndex:
     position starts a candidate exactly when one of its windows of a
     length in ``thresholds`` is a key of the matching table.  ``decides``:
     the presentation is C'(1/6), so Dehn's algorithm decides its word problem.
+    ``weights`` and ``q``: the homomorphism onto Z/q of ``_abelian_weights``
+    on such a presentation, or no check (q = 1).
     """
 
-    __slots__ = ("decides", "tables", "thresholds")
+    __slots__ = ("decides", "q", "tables", "thresholds", "weights")
 
     def __init__(self, p: Presentation):
         members = p.closure
         piece, length, _ = p._piece_scan
         self.decides = 6 * piece < length
+        self.weights, self.q = _abelian_weights(p) if self.decides else (b"", 1)
         tables: dict[int, dict[str, list[str]]] = {}
         # Stable by length over plain order: thresholds ascend, and each bucket
         # is in the (length, chars) order that settles ties in ``_dehn_scan``.

@@ -2,14 +2,17 @@
 
 ``perfbench`` wraps functions at the module attributes that their callers
 look up, runs the CLI handlers through ``cli.main`` and swaps
-``cli.break_relators`` to capture each break.  A rename that drops one of
-those names would otherwise show only when the benchmark itself runs.
+``cli.break_relators`` to capture each break, and its checks read the
+session files that the CLI writes.  A rename that drops one of those names,
+or a change to those files, would otherwise show only when the benchmark
+itself runs.
 """
 
 import importlib.util
 from pathlib import Path
 from random import Random
 
+import pytest
 
 from groupshare.smallcancel import random_platform_group, serialize_presentation
 
@@ -81,3 +84,15 @@ def test_nn_cli_unwarm_empties_the_dehn_index_cache(tmp_path, platform_group):
     assert sc._dehn_index.cache_info().currsize > 0
     workload.unwarm()
     assert sc._dehn_index.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name", ["nn-cli", "tn-stream"])
+def test_the_benchmark_checks_what_the_program_writes(tmp_path, name):
+    # NnCli.check re-reads the first session's bundles line by line with
+    # parse_word, so a slip in the bundle layout must fail here, not only
+    # inside the benchmark
+    gs = workloads.load_groupshare()
+    workload = workloads.WORKLOADS[name](gs, 1, workloads.SIZES["tiny"][name], tmp_path)
+    for op, _ in zip(workload.ops(), range(2)):
+        _, output = workload.run(op)
+        assert workload.check(op, output) is None

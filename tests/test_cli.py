@@ -752,6 +752,22 @@ def test_recover_reports_malformed_fields_in_one_line(tn_session, tmp_path, caps
     assert message in err
 
 
+@pytest.mark.parametrize("at", [3, 4, -1])
+def test_a_nul_in_a_bundle_line_ends_in_one_error_line(tn_session, tmp_path, capsys, at):
+    # the bundle reader joins the words with NUL, so a NUL inside one must
+    # not read as two words
+    session = tmp_path / "s"
+    shutil.copytree(tn_session, session)
+    bundle = session / "open" / "bundle-1.txt"
+    header, line, rest = bundle.read_text().split("\n", 2)
+    bundle.write_text("\n".join([header, line[:at] + "\0" + line[at:], rest]))
+    _commit_mac(session, 1)
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: malformed word token ")
+
+
 # ---------------------------------------------------------------------------
 # tamper guard: any damage to a session ends in one error line or the secret
 

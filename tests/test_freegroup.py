@@ -11,9 +11,11 @@ from groupshare.freegroup import (
     _FLIP,
     _LETTERS,
     _SERIALIZE,
+    _cancels,
     _compact_text,
     _invert_chars,
     _merge_chars,
+    _parse_words,
     _reduce_chars,
     Alphabet,
     Word,
@@ -476,3 +478,59 @@ def test_parse_builds_the_tables_of_the_ranks_it_reads_only(monkeypatch):
     assert parse_word("x1 x2", A2).letters == (1, 2)
     assert parse_word("x1 x2", Alphabet(_COMPACT_RANK + 1)).letters == (1, 2)
     assert sorted(freegroup._PARSE) == [2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the bundle reader: many texts read as one
+
+@given(st.lists(st.sampled_from([0, *range(2, 2 * _COMPACT_RANK + 2)])))
+def test_cancelling_pair_test_finds_exactly_the_adjacent_inverses(codes):
+    expected = any(a and b == a ^ 1 for a, b in zip(codes, codes[1:]))
+    assert _cancels("".join(map(chr, codes))) == expected
+
+
+def bundle_cases(rank, rng):
+    """Letter lists of every length from 0, with a cancelling pair put into some."""
+    cases = []
+    for i in range(40):
+        letters = list(random_reduced_word(rng.randrange(0, 50), Alphabet(rank), rng).letters)
+        if i % 4 == 3:
+            g = rng.choice([-1, 1]) * rng.randrange(1, rank + 1)
+            at = rng.randrange(0, len(letters) + 1)
+            letters[at:at] = [g, -g]
+        cases.append(letters)
+    return cases
+
+
+@pytest.mark.parametrize("rank", [1, 3, 40, 60, 87])
+def test_the_bundle_reader_reads_what_parse_word_reads(rank, monkeypatch):
+    alphabet, rng = Alphabet(rank), Random(rank)
+    cases = bundle_cases(rank, rng)
+    expected = [Word(alphabet, letters) for letters in cases]
+    reduced = [letters for letters in cases if list(naive_reduce(letters)) == letters]
+    compact = [compact_reference(letters) for letters in cases]
+    tokens = [reference_text(letters) for letters in cases]
+    for texts, words in [
+        (compact, expected),
+        ([compact_reference(letters) for letters in reduced], [Word(alphabet, letters)
+                                                               for letters in reduced]),
+        (tokens, expected),
+        ([c if i % 2 else t for i, (c, t) in enumerate(zip(compact, tokens))], expected),
+        ([], []),
+        ([""], [Word(alphabet)]),
+        (["", "", ""], [Word(alphabet)] * 3),
+    ]:
+        assert _parse_words(texts, alphabet) == [parse_word(t, alphabet) for t in texts] == words
+    # reduced compact texts, as a dealt bundle holds them, take no text on its own
+    monkeypatch.setattr(freegroup, "_parse_text", None)
+    assert _parse_words([compact_reference(letters) for letters in reduced], alphabet) == [
+        Word(alphabet, letters) for letters in reduced]
+
+
+@pytest.mark.parametrize("text", ["!\0#", "\0", "!\0", "x1\0", "\0x1"])
+def test_a_nul_in_a_text_raises_the_token_message(text):
+    message = f"^malformed word token {re.escape(repr(text.split()[0]))}$"
+    with pytest.raises(ValueError, match=message):
+        parse_word(text, A3)
+    with pytest.raises(ValueError, match=message):
+        _parse_words(["!", text, "#"], A3)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshare.freegroup import Word, serialize_word
+from groupshare import scheme
+from groupshare.freegroup import Word, random_reduced_word, serialize_word
 from groupshare.scheme import (
     SessionConfig,
     WordColumn,
@@ -19,7 +20,13 @@ from groupshare.scheme import (
     split_secret,
 )
 from groupshare.shamir import PrimeModulus, interpolate_at_zero
-from groupshare.smallcancel import dehn_is_trivial, make_trivial_word, random_platform_group
+from groupshare.smallcancel import (
+    _dehn_index,
+    _dehn_scan,
+    dehn_is_trivial,
+    make_trivial_word,
+    random_platform_group,
+)
 from groupshare.tietze import break_relators
 
 bit_columns = st.lists(st.integers(0, 1), min_size=1, max_size=48).map(tuple)
@@ -252,6 +259,43 @@ def test_encoding_refuses_a_presentation_dehn_cannot_decide(platform_groups):
         deal_nn([1, 0, 1, 1], groups, rng)
     with pytest.raises(ValueError, match=refused):
         deal_tn(5, SessionConfig(n=3, t=2, k=4, p=PrimeModulus(11)), groups, rng)
+
+
+def test_decode_column_reads_what_dehn_reads():
+    # over sampled groups of several shapes, some with a free abelianization
+    # (fewer relators than generators), on dealt and on random columns
+    rng = Random(2028)
+    shapes = [(3, 3, 40), (3, 2, 30), (4, 3, 36), (4, 2, 24), (2, 3, 48)]
+    settled = 0
+    for i in range(50):
+        g = random_platform_group(*shapes[i % len(shapes)], "1/6", rng)
+        index = _dehn_index(g)
+        dealt = encode_column([rng.getrandbits(1) for _ in range(16)], g, rng, group_hint=1)
+        noise = WordColumn(tuple(random_reduced_word(rng.randrange(0, 60), g.alphabet, rng)
+                                 for _ in range(16)), group_hint=1)
+        for wc in (dealt, noise):
+            bits = decode_column(wc, g)
+            assert bits == tuple(int(not _dehn_scan(index, w.chars)) for w in wc.words)
+        settled += index.q > 1
+    assert settled >= 45
+
+
+def test_most_dealt_zero_bits_skip_the_dehn_scan(monkeypatch):
+    scans = []
+    scan = scheme._dehn_scan
+    monkeypatch.setattr(scheme, "_dehn_scan",
+                        lambda index, chars: scans.append(chars) or scan(index, chars))
+    rng = Random(28)
+    zeros = 0
+    for _ in range(30):
+        g = random_platform_group(3, 3, 40, "1/6", rng)
+        assert decode_column(encode_column((0,) * 40, g, rng, group_hint=1), g) == (0,) * 40
+        zeros += 40
+    assert len(scans) <= 0.1 * zeros
+    # a 1 bit always takes its scan
+    scans.clear()
+    assert decode_column(encode_column((1,) * 8, g, rng, group_hint=1), g) == (1,) * 8
+    assert len(scans) == 8
 
 
 def test_wrong_group_does_not_decode(platform_groups):

@@ -16,6 +16,7 @@ from groupshare.freegroup import (
     Alphabet,
     Word,
     _from_chars,
+    cyclically_reduce,
     parse_word,
     random_reduced_word,
     serialize_word,
@@ -682,6 +683,78 @@ def test_leftmost_matches_a_brute_force_at_every_start(platform_group):
             cut_off += any(h > hits[0] for h in hits[1:])
             overtaken += any(h < hits[0] for h in hits[1:])
     assert cut_off and overtaken
+
+
+# ---------------------------------------------------------------------------
+# the homomorphism onto Z/q that reads most 0 bits before Dehn
+
+def image(weights, q, w):
+    """The weight of ``w`` mod q, summed letter by letter: x_g^e weighs e * f_g."""
+    return sum(weights[2 * abs(g)] * (1 if g > 0 else -1) for g in w.letters) % q
+
+
+@st.composite
+def any_presentations(draw):
+    """Relator sets of every kind: most fail C'(1/6), many have a free or
+    trivial abelianization, and some relators have zero exponent sums."""
+    alphabet = Alphabet(draw(st.integers(1, 5)))
+    relators = []
+    for letters in draw(st.lists(st.lists(st.integers(-alphabet.rank, alphabet.rank)
+                                          .filter(bool), min_size=1, max_size=12), max_size=5)):
+        r = cyclically_reduce(Word(alphabet, letters))
+        if r:
+            relators.append(r)
+    return Presentation(alphabet, tuple(relators))
+
+
+@given(any_presentations(), st.integers(0, 2**32))
+def test_every_product_of_conjugated_relators_maps_to_zero(p, seed):
+    weights, q = smallcancel._abelian_weights(p)
+    assert 1 <= q <= 256
+    rank = p.alphabet.rank
+    for g in range(1, rank + 1):
+        assert weights[2 * g] < q and (weights[2 * g] + weights[2 * g + 1]) % q == 0
+    # the functional is a row of a unimodular matrix, so q > 1 leaves it nonzero
+    assert q == 1 or any(weights[2 * g] for g in range(1, rank + 1))
+    assert all(image(weights, q, r) == 0 for r in p.relators)
+    rng = Random(seed)
+    for _ in range(5):
+        w = Word(p.alphabet, [])
+        for _ in range(rng.randrange(1, 5) if p.relators else 0):
+            h = random_reduced_word(rng.randrange(0, 8), p.alphabet, rng)
+            r = rng.choice(p.relators)
+            w = w * h.inverse() * (r if rng.getrandbits(1) else r.inverse()) * h
+        assert image(weights, q, w) == 0
+
+
+@pytest.mark.parametrize(
+    "rank, relators, q",
+    [
+        (2, ("x1 x1", "x2 x2 x2"), 6),  # Z/2 + Z/3: the invariant factors are 1 and 6
+        (2, ("x1 x2 x1^-1 x2^-1",), 256),  # a free abelianization
+        (3, ("x1 x2 x1^-1 x2^-1", "x3 x3 x3 x3 x3"), 256),  # a free part beside Z/5
+        (2, ("x1 x2 x1^-1 x2^-1 x2^-1", "x2 x1 x2^-1 x1^-1 x1^-1"), 1),  # trivial
+        (1, (" ".join(["x1"] * 300),), 150),  # Z/300, cut to its largest divisor up to 256
+        (1, (" ".join(["x1"] * 257),), 1),  # Z/257 has no divisor in 2..256
+        (1, (), 256),  # a free group
+        (128, ("x128",), 1),  # packed codes past a byte
+        (8, tuple(f"x{g} x{g}" for g in range(1, 9)), 2),  # (Z/2)^8
+        (9, tuple(f"x{g} x{g}" for g in range(1, 10)), 1),  # 9 by 9: no check
+        (87, ("x1 x1", "x2 x2 x2"), 256),  # a free part beside Z/6, at the compact rank
+    ],
+)
+def test_the_homomorphism_reads_the_abelianization(rank, relators, q):
+    alphabet = Alphabet(rank)
+    p = Presentation(alphabet, tuple(parse_word(r, alphabet) for r in relators))
+    assert smallcancel._abelian_weights(p)[1] == q
+
+
+def test_only_an_index_that_decides_carries_the_homomorphism(platform_group):
+    index = _DehnIndex(platform_group)
+    assert index.decides and (index.weights, index.q) == smallcancel._abelian_weights(
+        platform_group)
+    loose = Presentation(A2, (Word(A2, [1, 2, -1, -2]),))  # pieces of 1 letter in 4
+    assert not _DehnIndex(loose).decides and _DehnIndex(loose).q == 1
 
 
 def test_decode_column_rejects_alphabet_mismatch(platform_group):
