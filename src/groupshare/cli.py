@@ -186,7 +186,7 @@ def _bundle_text(column: WordColumn, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_bundle(text: str, rank: int, k: int) -> WordColumn:
+def _parse_bundle(text: str, alphabet: Alphabet, k: int) -> WordColumn:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("share-bundle "):
         raise ValueError("malformed share bundle header")
@@ -200,7 +200,7 @@ def _parse_bundle(text: str, rank: int, k: int) -> WordColumn:
     if [tag for tag, _, _ in rows] != [f"w{i}" for i in range(1, k + 1)]:
         i = next(i for i, (tag, _, _) in enumerate(rows, start=1) if tag != f"w{i}")
         raise ValueError(f"unexpected bundle line {lines[i]!r}")
-    words = _parse_words([body for _, _, body in rows], Alphabet(rank))
+    words = _parse_words([body for _, _, body in rows], alphabet)
     return WordColumn(tuple(words), group_hint=participant)
 
 
@@ -272,7 +272,10 @@ def _read_holder(session: Path, j: int, header: str, mac: str, bundle: bytes, ra
     presentation = parse_presentation(secure.decode())
     if not presentation.relators:
         raise ValueError(f"{secure_name} has no relators")
-    column = _parse_bundle(bundle.decode(), rank, k)
+    if presentation.alphabet.rank != rank:
+        raise ValueError(f"the manifest says rank {rank}, but {secure_name} "
+                         f"has rank {presentation.alphabet.rank}")
+    column = _parse_bundle(bundle.decode(), presentation.alphabet, k)
     if column.group_hint != j:
         raise ValueError(f"bundle {j} carries participant tag {column.group_hint}")
     return presentation, column

@@ -59,9 +59,9 @@ def _letter(ch: str) -> int:
 # tables of packed codes.  _FLIP and _SERIALIZE work out and keep each entry
 # the first time it is asked for, at any rank.  _PARSE builds a rank's tables
 # the first time a word of that rank is parsed, up to _COMPACT_RANK: beyond
-# it the parser takes its general path, so a file that declares a huge rank
-# allocates no tokens for it.  Platform groups have small rank; only Tietze
-# rewriting goes far beyond it.
+# it _parse_tokens reads one token at a time, so a file that declares a huge
+# rank allocates no tokens for it.  Platform groups have small rank; only
+# Tietze rewriting goes far beyond it.
 
 
 class _Table(dict):
@@ -97,7 +97,7 @@ def _parse_tables(rank: int) -> tuple[dict, dict]:
     """The tokens of ``rank`` and its compact characters, with NUL kept as
     the separator of joined texts (a missing character raises ValueError
     inside str.translate).  A letter of a higher generator misses both
-    tables, so the parser's general path reports it."""
+    tables, so _parse_tokens's loop reports it."""
     codes = range(2, 2 * rank + 2)
     compact = _Table(_not_compact)
     compact.update((ord(_TO_COMPACT[code]), chr(code)) for code in codes)
@@ -264,9 +264,18 @@ def random_reduced_word(length: int, alphabet: Alphabet, rng: Random) -> Word:
 _TOKEN = re.compile(r"x([0-9]+)(\^-1)?\Z")
 
 
-def _parse_tokens(tokens: list[str], alphabet: Alphabet) -> Word:
-    """The general parser: ranks beyond the table, spellings such as
-    ``x01``, and the wording of every error."""
+def _parse_tokens(text: str, alphabet: Alphabet) -> Word:
+    """The token reader: the rank's token table in one pass, else one token
+    at a time, for ranks beyond the table, spellings such as ``x01`` and
+    the wording of every error."""
+    tokens = text.split()
+    if alphabet.rank <= _COMPACT_RANK:
+        try:
+            packed = "".join(map(_PARSE[alphabet.rank][0].__getitem__, tokens))
+        except KeyError:
+            pass
+        else:
+            return _from_chars(alphabet, _reduce_chars(packed) if _cancels(packed) else packed)
     letters = []
     for token in tokens:
         match = _TOKEN.match(token)
@@ -279,31 +288,12 @@ def _parse_tokens(tokens: list[str], alphabet: Alphabet) -> Word:
     return Word(alphabet, letters)
 
 
-def _parse_text(text: str, alphabet: Alphabet) -> Word:
-    """One text on its own: token spellings, a NUL, cancelling pairs, the
-    ranks beyond the table and the wording of every error."""
-    rank = alphabet.rank
-    if rank > _COMPACT_RANK:
-        return _parse_tokens(text.split(), alphabet)
-    table, compact = _PARSE[rank]
-    try:
-        packed = text.translate(compact)
-    except ValueError:
-        packed = "\0"  # a character that spells no letter, as NUL does
-    if "\0" in packed:
-        tokens = text.split()
-        try:
-            packed = "".join(map(table.__getitem__, tokens))
-        except KeyError:
-            return _parse_tokens(tokens, alphabet)
-    return _from_chars(alphabet, _reduce_chars(packed) if _cancels(packed) else packed)
-
-
 def _parse_words(texts: list[str], alphabet: Alphabet) -> list[Word]:
-    """``parse_word`` of each text.  Reduced compact texts, as a share bundle
-    carries them, are read all at once: joined by NUL, which spells no
-    letter, with one translate and one cancelling-pair test.  If any text
-    is not one, every text is read on its own."""
+    """``parse_word`` of each text; the compact reader.  The texts, joined by
+    NUL, which spells no letter, take one translate and one cancelling-pair
+    test, and only the words that cancel are reduced.  If some text holds a
+    token, a NUL or a character outside the rank, each is read on its own,
+    and one that is not compact goes to ``_parse_tokens``."""
     if alphabet.rank <= _COMPACT_RANK:
         try:
             packed = "\0".join(texts).translate(_PARSE[alphabet.rank][1])
@@ -311,9 +301,13 @@ def _parse_words(texts: list[str], alphabet: Alphabet) -> list[Word]:
             pass
         else:
             words = packed.split("\0")
-            if len(words) == len(texts) and not _cancels(packed):  # no text held a NUL
+            if len(words) == len(texts):  # no text held a NUL
+                if _cancels(packed):
+                    words = [_reduce_chars(w) if _cancels(w) else w for w in words]
                 return [_from_chars(alphabet, chars) for chars in words]
-    return [_parse_text(text, alphabet) for text in texts]
+        if len(texts) > 1:
+            return [word for text in texts for word in _parse_words([text], alphabet)]
+    return [_parse_tokens(text, alphabet) for text in texts]
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

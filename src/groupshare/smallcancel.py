@@ -209,12 +209,12 @@ def _abelian_weights(p: Presentation) -> tuple[bytes, int]:
     if 2 * rank + 1 > 255 or min(rank, len(p.relators)) > 8:
         return b"", 1
     # Smith normal form of the generator-by-relator exponent-sum matrix, each
-    # pivot left where it is found.  A row operation acts on the functionals
-    # too; ``ops`` logs each as (row, source, c), row += c * source.
+    # pivot left where it is found.  Each row carries its generator's row of
+    # the identity after the relator columns, so row operations build the
+    # transform as they go; column operations touch the relator columns only.
     matrix = [[r.chars.count(chr(2 * g)) - r.chars.count(chr(2 * g + 1)) for r in p.relators]
-              for g in range(1, rank + 1)]
+              + [int(g == h) for h in range(1, rank + 1)] for g in range(1, rank + 1)]
     rows, columns = list(range(rank)), list(range(len(p.relators)))  # not yet pivots
-    ops: list[tuple[int, int, int]] = []
     pivot = 0
     while cells := [(abs(matrix[i][j]), i, j) for i in rows for j in columns if matrix[i][j]]:
         _, i, j = min(cells)
@@ -223,7 +223,6 @@ def _abelian_weights(p: Presentation) -> tuple[bytes, int]:
             for k in rows:
                 if k != i and (c := matrix[k][j] // pivot):
                     matrix[k] = [a - c * b for a, b in zip(matrix[k], top)]
-                    ops.append((k, i, -c))
             for l in columns:
                 if l != j and (c := top[l] // pivot):
                     for row in matrix:
@@ -239,7 +238,6 @@ def _abelian_weights(p: Presentation) -> tuple[bytes, int]:
             if spoiler is None:
                 break
             matrix[i] = [a + b for a, b in zip(top, matrix[spoiler])]
-            ops.append((i, spoiler, 1))
         rows.remove(i)
         columns.remove(j)
         last = i
@@ -247,12 +245,8 @@ def _abelian_weights(p: Presentation) -> tuple[bytes, int]:
         last, q = rows[0], 256
     else:
         q = next(d for d in range(min(abs(pivot), 256), 0, -1) if pivot % d == 0)
-    # the transform's row ``last``, ops undone from the last: row * E = row + c * row[k] e_i
-    functional = [int(g == last) for g in range(rank)]
-    for k, i, c in reversed(ops):
-        functional[i] += c * functional[k]
     table = bytearray(256)
-    for g, weight in enumerate(functional, start=1):
+    for g, weight in enumerate(matrix[last][len(p.relators):], start=1):  # the transform's row
         table[2 * g], table[2 * g + 1] = weight % q, -weight % q
     return bytes(table), q
 

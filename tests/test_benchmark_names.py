@@ -86,11 +86,12 @@ def test_nn_cli_unwarm_empties_the_dehn_index_cache(tmp_path, platform_group):
     assert sc._dehn_index.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("name", ["nn-cli", "tn-stream"])
+@pytest.mark.parametrize("name", ["nn-cli", "tn-stream", "break"])
 def test_the_benchmark_checks_what_the_program_writes(tmp_path, name):
     # NnCli.check re-reads the first session's bundles line by line with
-    # parse_word, so a slip in the bundle layout must fail here, not only
-    # inside the benchmark
+    # parse_word, and Break's check reads tietze-break output, of rank 64-78
+    # at this size, through parse_presentation's token reader, so a slip in
+    # either must fail here, not only inside the benchmark
     gs = workloads.load_groupshare()
     workload = workloads.WORKLOADS[name](gs, 1, workloads.SIZES["tiny"][name], tmp_path)
     for op, _ in zip(workload.ops(), range(2)):

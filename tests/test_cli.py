@@ -768,6 +768,28 @@ def test_a_nul_in_a_bundle_line_ends_in_one_error_line(tn_session, tmp_path, cap
     assert err.count("\n") == 1 and err.startswith("error: malformed word token ")
 
 
+def test_a_bundle_is_read_over_its_holders_alphabet(tn_session):
+    # decode_column then finds each word's alphabet by identity, not by __eq__
+    (_, _, _, k, rank, _), header, bundle = _read_open(tn_session)
+    presentation, column = cli._read_holder(tn_session, 1, header, *bundle(1), rank, k)
+    assert column.words and all(w.alphabet is presentation.alphabet for w in column.words)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_a_manifest_rank_other_than_the_presentations_ends_in_one_error_line(
+        tn_session, tmp_path, capsys, rank):
+    session = tmp_path / "s"
+    shutil.copytree(tn_session, session)
+    manifest = session / "manifest"
+    manifest.write_text(_set_value("rank", str(rank))(manifest.read_text()))
+    for j in range(1, 6):
+        _commit_mac(session, j)
+    code, out, err = run(capsys, "recover", "--session-dir", str(session),
+                         "--participants", "1,2,3")
+    assert code == 2 and out == ""
+    assert err == f"error: the manifest says rank {rank}, but secure/participant-1.grp has rank 3\n"
+
+
 # ---------------------------------------------------------------------------
 # tamper guard: any damage to a session ends in one error line or the secret
 

@@ -521,10 +521,26 @@ def test_the_bundle_reader_reads_what_parse_word_reads(rank, monkeypatch):
         (["", "", ""], [Word(alphabet)] * 3),
     ]:
         assert _parse_words(texts, alphabet) == [parse_word(t, alphabet) for t in texts] == words
-    # reduced compact texts, as a dealt bundle holds them, take no text on its own
-    monkeypatch.setattr(freegroup, "_parse_text", None)
-    assert _parse_words([compact_reference(letters) for letters in reduced], alphabet) == [
-        Word(alphabet, letters) for letters in reduced]
+    # compact texts, reduced as a dealt bundle holds them or not, are read in
+    # one call with one look-up of the rank's tables: no text on its own, and
+    # none as tokens
+    calls, parse_words = [], freegroup._parse_words
+
+    class Tables(freegroup._Table):
+        def __getitem__(self, key):
+            calls.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(freegroup, "_PARSE", Tables(freegroup._parse_tables))
+    monkeypatch.setattr(freegroup, "_parse_words",
+                        lambda *args: calls.append(args) or parse_words(*args))
+    monkeypatch.setattr(freegroup, "_parse_tokens", None)
+    for chosen in (cases, reduced):
+        calls.clear()
+        texts = [compact_reference(letters) for letters in chosen]
+        assert freegroup._parse_words(texts, alphabet) == [
+            Word(alphabet, letters) for letters in chosen]
+        assert calls == [(texts, alphabet), rank]
 
 
 @pytest.mark.parametrize("text", ["!\0#", "\0", "!\0", "x1\0", "\0x1"])
