@@ -32,7 +32,7 @@ from pathlib import Path
 from random import Random, SystemRandom
 
 from .freegroup import (
-    _COMPACT_RANK, _compact_text, _parse_words, Alphabet, parse_word, serialize_word,
+    _COMPACT_RANK, _compact_texts, _parse_words, Alphabet, parse_word, serialize_word,
 )
 from .scheme import (
     SessionConfig,
@@ -181,8 +181,8 @@ def _int_field(fields: dict[str, str], key: str, source: str) -> int:
 
 def _bundle_text(column: WordColumn, k: int) -> str:
     lines = [f"share-bundle participant={column.group_hint} k={k}"]
-    lines.extend(f"w{i} {_compact_text(w)}" if w else f"w{i}"
-                 for i, w in enumerate(column.words, start=1))
+    lines.extend(f"w{i} {text}" if text else f"w{i}"
+                 for i, text in enumerate(_compact_texts(column.words), start=1))
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Alphabet",
@@ -322,9 +322,11 @@ def serialize_word(w: Word) -> str:
     return " ".join(map(_SERIALIZE.__getitem__, w.chars))
 
 
-def _compact_text(w: Word) -> str:
-    """``w`` spelled one character per letter, which parse_word reads back."""
-    if w.alphabet.rank > _COMPACT_RANK:
+def _compact_texts(words: Sequence[Word]) -> list[str]:
+    """Each word spelled one character per letter, which ``_parse_words``
+    reads back.  The words share one alphabet: their packed letters, joined
+    by NUL, which the spelling keeps, take one translate and are split."""
+    if words and words[0].alphabet.rank > _COMPACT_RANK:
         raise ValueError(f"the compact spelling has letters for rank {_COMPACT_RANK} at most, "
-                         f"got {w.alphabet.rank}")
-    return w.chars.translate(_TO_COMPACT)
+                         f"got {words[0].alphabet.rank}")
+    return "\0".join([w.chars for w in words]).translate(_TO_COMPACT).split("\0") if words else []

@@ -20,10 +20,9 @@ from functools import reduce
 from random import Random
 from typing import Sequence
 
-from .freegroup import Word, _below
+from .freegroup import Word, _from_chars
 from .shamir import PrimeModulus, SharePoint, poly_eval, random_polynomial
-from .smallcancel import Presentation, _dehn_index, _dehn_scan
-from .smallcancel import make_nontrivial_word, make_trivial_word
+from .smallcancel import Presentation, _conjugated_products, _dehn_index, _dehn_scan
 
 __all__ = [
     "BitColumn",
@@ -128,14 +127,8 @@ def encode_column(
     piece, length, _ = g._piece_scan
     if 6 * piece >= length:
         raise ValueError(_UNDECIDED.format(group_hint))
-    getrandbits = rng.getrandbits
-    words = []
-    for bit in col:
-        factors = _FACTORS[_below(getrandbits, len(_FACTORS))]
-        conj = _CONJ_LENGTH[_below(getrandbits, len(_CONJ_LENGTH))]
-        build = make_trivial_word if bit else make_nontrivial_word
-        words.append(build(g, factors, conj, rng))
-    return WordColumn(tuple(words), group_hint=group_hint)
+    words = _conjugated_products(g, col, _FACTORS, _CONJ_LENGTH, rng)
+    return WordColumn(tuple(_from_chars(g.alphabet, w) for w in words), group_hint=group_hint)
 
 
 def decode_column(wc: WordColumn, g: Presentation) -> BitColumn:

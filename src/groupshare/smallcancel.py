@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from random import Random
+from typing import Sequence
 
 from .freegroup import (
     Alphabet,
     Word,
-    _below,
     _from_chars,
     _invert_chars,
     _merge_chars,
-    _random_chars,
     cyclically_reduce,
     parse_word,
     random_reduced_word,
@@ -337,16 +336,23 @@ def _dehn_scan(index: _DehnIndex, chars: str, steps: list | None = None) -> str:
                     best_len, best_member = length, member
         if steps is not None:
             steps.append((pos, best_len, best_member))
-        replacement = _invert_chars(best_member[best_len:])
-        rest = chars[pos + best_len :]
-        head = _merge_chars(chars[:pos], replacement)
-        shorter = _merge_chars(head, rest)
-        assert len(shorter) < len(chars)
         # Free reduction cancels letters in pairs across each seam, so the
         # first ``kept`` letters are untouched.  No candidate opened before
         # ``pos``, so none opens where the widest window ends among them.
-        kept = min(pos - (pos + len(replacement) - len(head)) // 2,
-                   len(head) - (len(head) + len(rest) - len(shorter)) // 2)
+        rest = chars[pos + best_len :]
+        if best_len == len(best_member):  # the member gives way to nothing: one seam
+            cut, limit = 0, min(pos, len(rest))
+            while cut < limit and ord(chars[pos - 1 - cut]) ^ 1 == ord(rest[cut]):
+                cut += 1
+            kept = pos - cut
+            shorter = chars[:kept] + rest[cut:]
+        else:
+            replacement = _invert_chars(best_member[best_len:])
+            head = _merge_chars(chars[:pos], replacement)
+            shorter = _merge_chars(head, rest)
+            kept = min(pos - (pos + len(replacement) - len(head)) // 2,
+                       len(head) - (len(head) + len(rest) - len(shorter)) // 2)
+        assert len(shorter) < len(chars)
         start = max(0, kept - widest + 1)
         chars = shorter
 
@@ -384,67 +390,124 @@ def dehn_is_trivial(p: Presentation, w: Word) -> DehnTrace:
 # ---------------------------------------------------------------------------
 # constructing words equal / not equal to 1
 
-def _conjugated_product(
-    p: Presentation, factor_count: int, conj_length: int, rng: Random, perturb: bool,
-) -> str:
-    """The one word construction behind both bit values: a random nonempty
-    product ``prod h^-1 r^sign h`` of conjugated relators, packed.
+def _conjugated_products(p: Presentation, bits: Sequence[int], factor_counts: Sequence[int],
+                         conj_lengths: Sequence[int], rng: Random) -> list[str]:
+    """The one word construction behind both bit values, packed: per bit, a
+    random nonempty product ``prod h^-1 r^sign h`` of conjugated relators;
+    its factor count and conjugator length are drawn where there is a choice.
 
-    With ``perturb``, one uniformly chosen factor's relator r = u a v has a
+    For a 0 bit, one uniformly chosen factor's relator r = u a v has a
     uniformly chosen letter a replaced by a letter b != a that cancels
     neither cyclic neighbour.  Then r' = u b v = u (b a^-1) u^-1 r, so the
     product is conjugate to the reduced two-letter word b a^-1, which is not
     1 in a C'(1/6) group whose relators exceed 4 letters (Greendlinger).
     """
-    if factor_count < 1:
+    if factor_counts[0] < 1:
         raise ValueError("factor_count must be at least 1")
-    if conj_length < 0:
+    if conj_lengths[0] < 0:
         raise ValueError("conj_length must be nonnegative")
-    if not p.relators:
-        raise ValueError("presentation has no relators")
     rank = p.alphabet.rank
-    if perturb and rank < 2:
-        raise ValueError("no substitute letter exists over a rank-1 alphabet")
     signed = p._signed_chars
-    relator_count = len(signed)
-    k = relator_count.bit_length()
+    # Each draw is ``freegroup._below``'s rejection loop, inlined: the same draws.
     getrandbits = rng.getrandbits
-    for _ in range(_MAX_ATTEMPTS):
-        altered = _below(getrandbits, factor_count) if perturb else -1
-        acc = ""
-        for i in range(factor_count):
-            # ``_below`` inlined for the relator index and the sign, whose
-            # bounds hold for the whole call: the same draws in the same order.
-            idx = getrandbits(k)
-            while idx >= relator_count:
-                idx = getrandbits(k)
-            inverted = getrandbits(2)
-            while inverted >= 2:
+    relator_count, k_relator = len(signed), len(signed).bit_length()
+    factor_choices, conj_choices = len(factor_counts), len(conj_lengths)
+    k_factor, k_conj = factor_choices.bit_length(), conj_choices.bit_length()
+    letters = "".join(map(chr, range(2, 2 * rank + 2)))
+    first, next_ = 2 * rank, 2 * rank - 1  # choices of a conjugator's first and later letters
+    k_first, k_next = first.bit_length(), next_.bit_length()
+    inverse = {c: chr(ord(c) ^ 1) for c in letters}
+    after = {c: letters.replace(inverse[c], "") for c in letters}  # the letters not cancelling c
+    words = []
+    for bit in bits:
+        factor_count, conj_length = factor_counts[0], conj_lengths[0]
+        if factor_choices > 1:
+            i = getrandbits(k_factor)
+            while i >= factor_choices:
+                i = getrandbits(k_factor)
+            factor_count = factor_counts[i]
+        if conj_choices > 1:
+            i = getrandbits(k_conj)
+            while i >= conj_choices:
+                i = getrandbits(k_conj)
+            conj_length = conj_lengths[i]
+        if not relator_count:  # refused after the word's draws, as one word at a time was
+            raise ValueError("presentation has no relators")
+        if not bit and rank < 2:
+            raise ValueError("no substitute letter exists over a rank-1 alphabet")
+        k_altered = factor_count.bit_length()
+        later_letters = range(conj_length - 1)
+        for _ in range(_MAX_ATTEMPTS):
+            altered = -1
+            if not bit:
+                altered = getrandbits(k_altered)
+                while altered >= factor_count:
+                    altered = getrandbits(k_altered)
+            acc = ""
+            for i in range(factor_count):
+                idx = getrandbits(k_relator)
+                while idx >= relator_count:
+                    idx = getrandbits(k_relator)
                 inverted = getrandbits(2)
-            h = _random_chars(conj_length, rank, getrandbits)
-            r = signed[idx][inverted]
-            if i == altered:
-                pos = _below(getrandbits, len(r))
-                banned = (ord(r[pos]), ord(r[pos - 1]) ^ 1, ord(r[(pos + 1) % len(r)]) ^ 1)
-                subs = [code for code in range(2, 2 * rank + 2) if code not in banned]
-                r = r[:pos] + chr(subs[_below(getrandbits, len(subs))]) + r[pos + 1 :]
-            acc = _merge_chars(acc, _merge_chars(_merge_chars(_invert_chars(h), r), h))
-        if acc:
-            return acc
-    raise BudgetExhausted(
-        f"conjugate products collapsed to the identity {_MAX_ATTEMPTS} times in a row"
-    )
+                while inverted >= 2:
+                    inverted = getrandbits(2)
+                r = signed[idx][inverted]
+                h = h_inv = ""
+                if conj_length:
+                    pick = getrandbits(k_first)
+                    while pick >= first:
+                        pick = getrandbits(k_first)
+                    h = c = letters[pick]
+                    h_inv = inverse[c]
+                    for _ in later_letters:
+                        pick = getrandbits(k_next)
+                        while pick >= next_:
+                            pick = getrandbits(k_next)
+                        c = after[c][pick]
+                        h += c
+                        h_inv = inverse[c] + h_inv
+                if i == altered:
+                    n, k = len(r), len(r).bit_length()
+                    pos = getrandbits(k)
+                    while pos >= n:
+                        pos = getrandbits(k)
+                    banned = (r[pos], inverse[r[pos - 1]], inverse[r[(pos + 1) % n]])
+                    subs = [c for c in letters if c not in banned]
+                    n, k = len(subs), len(subs).bit_length()
+                    pick = getrandbits(k)
+                    while pick >= n:
+                        pick = getrandbits(k)
+                    r = r[:pos] + subs[pick] + r[pos + 1 :]
+                # r is cyclically reduced, so h cancels into one end of it at most
+                if h and (h[0] == r[0] or h[0] == inverse[r[-1]]):
+                    factor = _merge_chars(_merge_chars(h_inv, r), h)
+                else:
+                    factor = h_inv + r + h
+                if acc and inverse[acc[-1]] == factor[0]:
+                    acc = _merge_chars(acc, factor)
+                else:
+                    acc += factor
+            if acc:
+                break
+        else:
+            raise BudgetExhausted(
+                f"conjugate products collapsed to the identity {_MAX_ATTEMPTS} times in a row"
+            )
+        words.append(acc)
+    return words
 
 
 def make_trivial_word(p: Presentation, factor_count: int, conj_length: int, rng: Random) -> Word:
     """Random nonempty product of conjugated relators; trivial by construction."""
-    return _from_chars(p.alphabet, _conjugated_product(p, factor_count, conj_length, rng, False))
+    [chars] = _conjugated_products(p, (1,), (factor_count,), (conj_length,), rng)
+    return _from_chars(p.alphabet, chars)
 
 
 def make_nontrivial_word(p: Presentation, factor_count: int, conj_length: int, rng: Random) -> Word:
     """The :func:`make_trivial_word` product with one letter of one relator
     factor changed: never 1 on a C'(1/6) presentation; ValueError at rank 1."""
-    return _from_chars(p.alphabet, _conjugated_product(p, factor_count, conj_length, rng, True))
+    [chars] = _conjugated_products(p, (0,), (factor_count,), (conj_length,), rng)
+    return _from_chars(p.alphabet, chars)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_every_traced_binding_resolves(tmp_path):
     finally:
         t.disable()
     bound = {(module.__name__.rpartition(".")[2], attr) for module, attr, _, _ in t._patches}
-    assert len(t._patches) == 52
+    assert len(t._patches) == 50
     # each traced function where it is defined, and the cli bindings through
     # which the handlers parse and serialize, so that nn-cli's counts see them
     assert {(layer, name) for layer, names in tracer.TRACED.items() for name in names} <= bound

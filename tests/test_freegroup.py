@@ -12,7 +12,7 @@ from groupshare.freegroup import (
     _LETTERS,
     _SERIALIZE,
     _cancels,
-    _compact_text,
+    _compact_texts,
     _invert_chars,
     _merge_chars,
     _parse_words,
@@ -422,7 +422,7 @@ def test_compact_characters_are_the_printable_latin1_that_spell_no_token():
 def test_compact_round_trip_at_every_rank(case):
     alphabet, letters = case
     w = Word(alphabet, letters)
-    text = _compact_text(w)
+    [text] = _compact_texts([w])
     assert len(text) == len(w) and text == compact_reference(w.letters)
     assert parse_word(text, alphabet) == w
 
@@ -437,7 +437,7 @@ def test_compact_codec_at_every_rank():
     for rank in range(1, _COMPACT_RANK + 1):
         alphabet = Alphabet(rank)
         w = Word(alphabet, [*range(1, rank + 1), *range(-1, -rank - 1, -1)])
-        assert parse_word(_compact_text(w), alphabet) == w
+        assert parse_word(_compact_texts([w])[0], alphabet) == w
         letters = [g * s for g in range(1, rank + 1) for s in (1, -1)]
         assert parse_word(compact_reference(letters), alphabet).letters == ()
         assert parse_word(compact_reference(letters[1:]), alphabet).letters == naive_reduce(
@@ -466,7 +466,7 @@ def test_compact_text_outside_the_rank_raises_the_token_message(rank, text, mess
 
 def test_compact_spelling_stops_at_its_rank():
     with pytest.raises(ValueError, match="^the compact spelling has letters for rank 87 at most"):
-        _compact_text(Word(Alphabet(_COMPACT_RANK + 1), [1]))
+        _compact_texts([Word(Alphabet(_COMPACT_RANK + 1), [1])])
     # past it, parse_word reads tokens only, as before
     with pytest.raises(ValueError, match="^malformed word token '!'$"):
         parse_word("!", Alphabet(_COMPACT_RANK + 1))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupshare import scheme
+from groupshare import scheme, smallcancel
 from groupshare.freegroup import Word, random_reduced_word, serialize_word
 from groupshare.scheme import (
     SessionConfig,
@@ -296,6 +296,24 @@ def test_most_dealt_zero_bits_skip_the_dehn_scan(monkeypatch):
     scans.clear()
     assert decode_column(encode_column((1,) * 8, g, rng, group_hint=1), g) == (1,) * 8
     assert len(scans) == 8
+
+
+def test_a_column_takes_one_construction_loop(monkeypatch):
+    # each share column is built by one call that makes all of its words,
+    # never a call per word
+    loops, per_word = [], []
+    build = scheme._conjugated_products
+    monkeypatch.setattr(scheme, "_conjugated_products",
+                        lambda p, bits, *rest: loops.append(len(bits)) or build(p, bits, *rest))
+    for name in ("make_trivial_word", "make_nontrivial_word"):
+        for module in (scheme, smallcancel):
+            monkeypatch.setattr(module, name, lambda *args: per_word.append(args), raising=False)
+    rng = Random(30)
+    groups = [random_platform_group(3, 3, 40, "1/6", rng) for _ in range(8)]
+    secret = tuple(rng.getrandbits(1) for _ in range(256))
+    columns = deal_nn(secret, groups, rng)
+    assert loops == [256] * 8 and per_word == []
+    assert recover_secret_nn([decode_column(c, g) for c, g in zip(columns, groups)]) == secret
 
 
 def test_wrong_group_does_not_decode(platform_groups):

@@ -23,7 +23,7 @@ from groupshare.freegroup import (
 )
 from groupshare.scheme import WordColumn, decode_column, encode_column
 from groupshare.smallcancel import (
-    _conjugated_product,
+    _conjugated_products,
     _DehnIndex,
     _dehn_index,
     _dehn_scan,
@@ -966,6 +966,6 @@ def test_conjugates_keep_the_randrange_stream_over_short_relators():
             p = Presentation(Alphabet(rank), tuple(relators))
             for conj in range(11):
                 for bit in (1, 0) if rank > 1 else (1,):
-                    chars = _conjugated_product(p, 3, conj, ours, not bit)
+                    [chars] = _conjugated_products(p, (bit,), (3,), (conj,), ours)
                     assert chars == randrange_product(p, 3, conj, theirs, not bit).chars
                     assert ours.getstate() == theirs.getstate()
